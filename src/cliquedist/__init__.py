@@ -24,6 +24,7 @@ from .distortion import (
     permute_labels,
     random_baseline,
 )
+from .errors import SolverError
 from .metrics import (
     SimilarityTransform,
     cosine_model,
@@ -66,7 +67,7 @@ __all__ = [
     "BaselineMode", "ConceptLexicon", "ConceptTag", "Corpus", "DistortionReport",
     "Document", "EmbeddingStore", "FeatureTable", "LabeledDistanceMatrix", "NBow",
     "RelatednessConfig", "RelatednessMode", "SemanticTypeFilter",
-    "SimilarityTransform", "Sentence", "TransportPlan", "WmdConfig",
+    "SimilarityTransform", "Sentence", "SolverError", "TransportPlan", "WmdConfig",
     "cosine_model", "cosine_similarity", "document_vector",
     "feature_difference_counts", "graph_distortion", "ground_costs",
     "load_concept_annotations", "load_concept_lexicon", "load_corpus",

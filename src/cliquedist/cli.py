@@ -66,7 +66,7 @@ class PipelineConfig:
     seed: int = 0
     max_exact_n: int = 9
     mc_samples: int = 10000
-    workers: int = 0  # 0 = logical cores
+    workers: int = 0  # relabeling-baseline threads; 0 = logical cores
     ground_metric: str = "euclidean"
     remove_stopwords: bool = True
     unique_pooling: bool = False
@@ -276,7 +276,7 @@ def _build_model_matrix(cfg: PipelineConfig) -> LabeledDistanceMatrix:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         fn = wmd_model(store, wmd_cfg)
-    return pairwise_distances(corpus, fn, workers=cfg.resolved_workers())
+    return pairwise_distances(corpus, fn)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -396,7 +396,8 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int)
     common.add_argument("--samples", type=int, help="Monte Carlo permutation count")
     common.add_argument("--max-exact-n", dest="max_exact_n", type=int)
-    common.add_argument("--workers", type=int)
+    common.add_argument("--workers", type=int,
+                        help="threads for the relabeling baseline (0 = all cores)")
     common.add_argument("--out", help="output directory (or file for export-graph)")
 
     p = argparse.ArgumentParser(

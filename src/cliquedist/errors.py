@@ -100,3 +100,7 @@ class DomainError(NumericError):
 
 class InfeasibleMarginals(NumericError):
     """Transport marginals do not balance."""
+
+
+class SolverError(NumericError):
+    """The exact transport solver hit its pivot limit or broke a marginal."""

@@ -3,7 +3,6 @@ distance over mean-pooled embeddings, assembled into labeled matrices.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
 
 import numpy as np
@@ -95,34 +94,22 @@ def cosine_model(store: EmbeddingStore,
     return model
 
 
-def pairwise_distances(corpus: Corpus, model, workers: int = 1
-                       ) -> LabeledDistanceMatrix:
+def pairwise_distances(corpus: Corpus, model) -> LabeledDistanceMatrix:
     """Evaluate the model once per unordered document pair and mirror it.
 
     Self-distances are 0 by definition, never computed. Model errors are
-    re-raised as the same class with the offending pair prepended. Pairs
-    are independent work items; results are identical for any worker count.
+    re-raised as the same class with the offending pair prepended.
     """
     docs = corpus.documents
     n = len(docs)
     if n < 2:
         raise CorpusError(f"need at least 2 documents, got {n}")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def evaluate(pair):
-        i, j = pair
-        try:
-            return float(model(docs[i], docs[j]))
-        except CliqueDistError as exc:
-            raise type(exc)(f"pair ({docs[i].id}, {docs[j].id}): {exc}") from exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, pairs))
-    else:
-        results = [evaluate(p) for p in pairs]
-
     values = np.zeros((n, n))
-    for (i, j), d in zip(pairs, results):
-        values[i, j] = values[j, i] = d
+    for i in range(n):
+        for j in range(i + 1, n):
+            try:
+                d = float(model(docs[i], docs[j]))
+            except CliqueDistError as exc:
+                raise type(exc)(f"pair ({docs[i].id}, {docs[j].id}): {exc}") from exc
+            values[i, j] = values[j, i] = d
     return LabeledDistanceMatrix(corpus.ids, values)

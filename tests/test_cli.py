@@ -1,3 +1,4 @@
+import importlib
 import json
 from pathlib import Path
 
@@ -110,6 +111,17 @@ def test_distances_wmd_missing_embeddings_is_config_error(tmp_path, capsys):
     code = run(["distances", "--config", cfg, "--model", "wmd", "--out", tmp_path])
     assert code == 2
     assert "embeddings_path" in capsys.readouterr().err
+
+
+def test_distances_wmd_pivot_limit_is_numeric_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    # By import path: the package attribute `cliquedist.wmd` is the function.
+    monkeypatch.setattr(importlib.import_module("cliquedist.wmd"), "MAX_PIVOTS", 1)
+    code = run(["distances", "--config", "data/toy_config.toml", "--out", tmp_path])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: pair (") and "pivots" in err
+    assert "Traceback" not in err
 
 
 def test_distances_feature_table_requires_path(tmp_path, capsys):

@@ -1,3 +1,9 @@
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +21,12 @@ from cliquedist import (
     solve_ot,
     wmd,
 )
-from cliquedist.errors import EmptyVectorError, InfeasibleMarginals
+from cliquedist.errors import EmptyVectorError, InfeasibleMarginals, SolverError
 from ot_oracle import oracle_min_cost
+
+# By import path: the package attribute `cliquedist.wmd` is the function.
+WMD_MODULE = importlib.import_module("cliquedist.wmd")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 NO_STOP = WmdConfig(remove_stopwords=False)
 
@@ -168,49 +178,108 @@ def test_solve_ot_marginals_and_cost_consistent():
         assert np.abs(plan.matrix.sum(axis=1) - a.weights).max() < 1e-9
         assert np.abs(plan.matrix.sum(axis=0) - b.weights).max() < 1e-9
         assert plan.cost == pytest.approx((plan.matrix * C).sum(), abs=1e-12)
+        _assert_basic(plan)
+
+
+def _assert_basic(plan):
+    """A vertex of the transport polytope has at most m+n-1 positive cells."""
+    m, n = plan.matrix.shape
+    assert np.count_nonzero(plan.matrix > 0) <= m + n - 1
+
+
+def _random_instances(rng, count, low, high):
+    """(wa, wb, C) with positive weights and uniform random costs."""
+    for _ in range(count):
+        m, n = rng.integers(low, high, size=2)
+        wa = rng.random(m) + 0.05
+        wb = rng.random(n) + 0.05
+        yield wa / wa.sum(), wb / wb.sum(), rng.random((m, n))
+
+
+def _degenerate_instances(rng, count, low, high):
+    """Instances whose pivots tie and go degenerate: uniform marginals on a
+    square support, then small integer weights, both with costs in {0, 1, 2}."""
+    for _ in range(count):
+        m = int(rng.integers(low, high))
+        w = np.full(m, 1.0 / m)
+        yield w, w.copy(), rng.integers(0, 3, size=(m, m)).astype(float)
+    for _ in range(count):
+        m, n = rng.integers(low, high, size=2)
+        wa = rng.integers(1, 4, size=m).astype(float)
+        wb = rng.integers(1, 4, size=n).astype(float)
+        yield (wa / wa.sum(), wb / wb.sum(),
+               rng.integers(0, 3, size=(m, n)).astype(float))
+
+
+def _solve(wa, wb, C):
+    plan = solve_ot(_nbow_from(wa), _nbow_from(wb, [f"x{i}" for i in range(len(wb))]), C)
+    _assert_basic(plan)
+    return plan
 
 
 def test_solve_ot_matches_enumeration_oracle():
-    rng = np.random.default_rng(404)
+    instances = [*_random_instances(np.random.default_rng(404), 50, 1, 5),
+                 *_degenerate_instances(np.random.default_rng(406), 10, 1, 5)]
     worst = 0.0
-    for _ in range(50):
-        m, n = rng.integers(1, 5, size=2)
-        wa = rng.random(m) + 0.05
-        wb = rng.random(n) + 0.05
-        wa, wb = wa / wa.sum(), wb / wb.sum()
-        C = rng.random((m, n))
-        a = _nbow_from(wa)
-        b = _nbow_from(wb, [f"x{i}" for i in range(n)])
-        got = solve_ot(a, b, C).cost
-        want = oracle_min_cost(wa, wb, C)
-        worst = max(worst, abs(got - want))
+    for wa, wb, C in instances:
+        got = _solve(wa, wb, C).cost
+        worst = max(worst, abs(got - oracle_min_cost(wa, wb, C)))
     assert worst < 1e-9
 
 
 def test_solve_ot_matches_scipy_linprog():
     linprog = pytest.importorskip("scipy.optimize").linprog
-    rng = np.random.default_rng(405)
-    for _ in range(25):
-        m, n = rng.integers(2, 6, size=2)
-        wa = rng.random(m) + 0.05
-        wb = rng.random(n) + 0.05
-        wa, wb = wa / wa.sum(), wb / wb.sum()
-        C = rng.random((m, n))
-        A_eq = []
-        for i in range(m):
-            row = np.zeros((m, n))
-            row[i, :] = 1
-            A_eq.append(row.ravel())
-        for j in range(n):
-            col = np.zeros((m, n))
-            col[:, j] = 1
-            A_eq.append(col.ravel())
-        res = linprog(C.ravel(), A_eq=np.array(A_eq),
+    rng = np.random.default_rng(407)
+    # One pair at the benchmark's scale: word-count weights over supports of
+    # 60 and 140 words, Euclidean costs between 50-dimensional vectors.
+    va, vb = rng.normal(size=(60, 50)), rng.normal(size=(140, 50))
+    wa = rng.integers(1, 9, size=60).astype(float)
+    wb = rng.integers(1, 9, size=140).astype(float)
+    large = (wa / wa.sum(), wb / wb.sum(),
+             np.sqrt(((va[:, None, :] - vb[None, :, :]) ** 2).sum(axis=2)))
+    instances = [*_random_instances(np.random.default_rng(405), 25, 2, 6),
+                 *_degenerate_instances(np.random.default_rng(408), 15, 2, 12),
+                 large]
+    for wa, wb, C in instances:
+        m, n = C.shape
+        rows = np.kron(np.eye(m), np.ones(n))
+        cols = np.kron(np.ones(m), np.eye(n))
+        res = linprog(C.ravel(), A_eq=np.vstack([rows, cols]),
                       b_eq=np.concatenate([wa, wb]), method="highs")
         assert res.success
-        a = _nbow_from(wa)
-        b = _nbow_from(wb, [f"x{i}" for i in range(n)])
-        assert solve_ot(a, b, C).cost == pytest.approx(res.fun, abs=1e-9)
+        assert _solve(wa, wb, C).cost == pytest.approx(res.fun, abs=1e-9)
+
+
+def test_solve_ot_pivot_limit_is_solver_error(monkeypatch):
+    # The north-west corner start ships along the diagonal at cost 1; the
+    # optimum needs one pivot and then one more optimality check.
+    a = _nbow_from([0.5, 0.5])
+    b = _nbow_from([0.5, 0.5], ["x", "y"])
+    C = np.array([[1.0, 0.0], [0.0, 1.0]])
+    monkeypatch.setattr(WMD_MODULE, "MAX_PIVOTS", 1)
+    with pytest.raises(SolverError, match="pivots"):
+        solve_ot(a, b, C)
+    monkeypatch.setattr(WMD_MODULE, "MAX_PIVOTS", 2)
+    assert solve_ot(a, b, C).cost == 0.0
+
+
+def test_solving_wmd_imports_no_scipy():
+    # scipy is a test-only dependency; importing it would add to the start-up
+    # time and peak memory of every command-line run.
+    code = (
+        "import sys, numpy as np, cliquedist as cd\n"
+        "store = cd.EmbeddingStore(2, {'alpha': np.array([1.0, 0.0]),"
+        " 'beta': np.array([0.0, 1.0])})\n"
+        "doc = lambda i, *w: cd.Document(i, (cd.Sentence(' '.join(w), w),))\n"
+        "d = cd.wmd(doc('x', 'alpha', 'beta'), doc('y', 'beta'), store)\n"
+        "assert abs(d - 0.5 * 2 ** 0.5) < 1e-12, d\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy')))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 # -- document-level WMD ----------------------------------------------------------------
