@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -66,7 +65,6 @@ class PipelineConfig:
     seed: int = 0
     max_exact_n: int = 9
     mc_samples: int = 10000
-    workers: int = 0  # relabeling-baseline threads; 0 = logical cores
     ground_metric: str = "euclidean"
     remove_stopwords: bool = True
     unique_pooling: bool = False
@@ -74,11 +72,8 @@ class PipelineConfig:
     keyword_filter: str | None = None  # DOC:phrase[;DOC:phrase...]
     histogram_path: str | None = None
 
-    def resolved_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
 
-
-_INT_KEYS = {"min_mutual", "seed", "max_exact_n", "mc_samples", "workers"}
+_INT_KEYS = {"min_mutual", "seed", "max_exact_n", "mc_samples"}
 _BOOL_KEYS = {"remove_stopwords", "unique_pooling"}
 _CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
 
@@ -132,7 +127,7 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
                       ("mode", "relatedness_mode"), ("min_mutual", "min_mutual"),
                       ("seed", "seed"), ("samples", "mc_samples"),
                       ("max_exact_n", "max_exact_n"), ("out", "output_dir"),
-                      ("workers", "workers"), ("histogram", "histogram_path")]:
+                      ("histogram", "histogram_path")]:
         value = getattr(args, flag, None)
         if value is not None:
             overrides[key] = value
@@ -144,8 +139,6 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         raise ConfigError(f"mc_samples must be >= 1, got {cfg.mc_samples}")
     if cfg.max_exact_n < 0:
         raise ConfigError(f"max_exact_n must be >= 0, got {cfg.max_exact_n}")
-    if cfg.workers < 0:
-        raise ConfigError(f"workers must be >= 0, got {cfg.workers}")
     return cfg
 
 
@@ -219,15 +212,28 @@ def _parse_keyword_filter(rules_text: str) -> list[tuple[str, str]]:
     return rules
 
 
-def _load_pipeline_corpus(cfg: PipelineConfig) -> Corpus:
-    """Corpus with lexicon merging, keyword filtering, annotations, and the
-    optional related-sentences restriction applied."""
+def _load_annotated_corpus(cfg: PipelineConfig, semfilter: SemanticTypeFilter) -> Corpus:
+    """Corpus with lexicon merging and, when configured, concept annotations.
+
+    Annotations address sentences by their index in the unfiltered document,
+    so they attach before any sentence is filtered out.
+    """
     _require_path(cfg.corpus_dir, "corpus_dir")
     lexicon = None
     if cfg.lexicon_path is not None:
-        _require_path(cfg.lexicon_path, "lexicon_path")
-        lexicon = load_concept_lexicon(cfg.lexicon_path)
+        lexicon = load_concept_lexicon(_require_path(cfg.lexicon_path, "lexicon_path"))
     corpus = load_corpus(cfg.corpus_dir, lexicon)
+    if cfg.annotations_path is not None:
+        corpus = load_concept_annotations(
+            _require_path(cfg.annotations_path, "annotations_path"), corpus, semfilter)
+    return corpus
+
+
+def _load_pipeline_corpus(cfg: PipelineConfig) -> Corpus:
+    """Corpus with lexicon merging, annotations, keyword filtering, and the
+    optional related-sentences restriction applied."""
+    semfilter = _parse_semfilter(cfg)
+    corpus = _load_annotated_corpus(cfg, semfilter)
 
     if cfg.keyword_filter:
         rules = dict(_parse_keyword_filter(cfg.keyword_filter))
@@ -237,11 +243,6 @@ def _load_pipeline_corpus(cfg: PipelineConfig) -> Corpus:
         corpus = Corpus(tuple(
             filter_sentences_by_keyword(d, rules[d.id]) if d.id in rules else d
             for d in corpus.documents))
-
-    semfilter = _parse_semfilter(cfg)
-    if cfg.annotations_path is not None:
-        _require_path(cfg.annotations_path, "annotations_path")
-        corpus = load_concept_annotations(cfg.annotations_path, corpus, semfilter)
 
     relatedness = _parse_relatedness(cfg)
     if relatedness is not None:
@@ -298,7 +299,6 @@ def cmd_permtest(cfg: PipelineConfig, path_a, path_b) -> Path:
     report = permutation_stats(
         reference, comparison,
         max_exact_n=cfg.max_exact_n, samples=cfg.mc_samples, seed=cfg.seed,
-        workers=cfg.resolved_workers(),
         keep_distortions=cfg.histogram_path is not None)
     out = Path(cfg.output_dir) / "report.json"
     _write_text(out, report.to_json())
@@ -313,16 +313,10 @@ def cmd_filter(cfg: PipelineConfig) -> Path:
     relatedness = _parse_relatedness(cfg)
     if relatedness is None:
         raise ConfigError("filter requires relatedness_mode (--mode)")
-    _require_path(cfg.corpus_dir, "corpus_dir")
     _require_path(cfg.annotations_path, "annotations_path")
     _require_path(cfg.summary_path, "summary_path")
     semfilter = _parse_semfilter(cfg)
-    lexicon = None
-    if cfg.lexicon_path is not None:
-        _require_path(cfg.lexicon_path, "lexicon_path")
-        lexicon = load_concept_lexicon(cfg.lexicon_path)
-    corpus = load_concept_annotations(
-        cfg.annotations_path, load_corpus(cfg.corpus_dir, lexicon), semfilter)
+    corpus = _load_annotated_corpus(cfg, semfilter)
     statements = load_summary_statements(cfg.summary_path, semfilter)
 
     out_dir = Path(cfg.output_dir)
@@ -396,8 +390,6 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int)
     common.add_argument("--samples", type=int, help="Monte Carlo permutation count")
     common.add_argument("--max-exact-n", dest="max_exact_n", type=int)
-    common.add_argument("--workers", type=int,
-                        help="threads for the relabeling baseline (0 = all cores)")
     common.add_argument("--out", help="output directory (or file for export-graph)")
 
     p = argparse.ArgumentParser(

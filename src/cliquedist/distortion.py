@@ -10,17 +10,19 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .core import LabeledDistanceMatrix
-from .errors import InvalidPermutation, MalformedMatrix, ZeroGraph
+from .errors import ConfigError, InvalidPermutation, MalformedMatrix
 from .metrics import normalize_matrix
 
-_CHUNK = 5040
+# Relabelings are evaluated in blocks of about this many conjugated cells.
+_BLOCK_CELLS = 65536
+# Largest relabeling histogram exact mode enumerates: 10! values take 29 MB.
+MAX_ENUMERATED = math.factorial(10)
 
 
 def graph_distortion(m1: LabeledDistanceMatrix, m2: LabeledDistanceMatrix) -> float:
@@ -36,26 +38,6 @@ def graph_distortion(m1: LabeledDistanceMatrix, m2: LabeledDistanceMatrix) -> fl
     n1 = normalize_matrix(m1).values
     n2 = normalize_matrix(m2).values
     return float(np.abs(n1 - n2).sum())
-
-
-def _edge_sum_distortion(m1: LabeledDistanceMatrix, m2: LabeledDistanceMatrix
-                         ) -> float:
-    """Same quantity computed in the unordered-edge convention.
-
-    Each triangle is normalized by its edge total and |differences| are
-    summed over edges only; agrees bit-for-bit with graph_distortion on
-    fixtures whose totals are exact binary fractions.
-    """
-    if m1.n < 2:
-        raise MalformedMatrix("distortion needs at least 2 labels")
-    m2 = m2.aligned_to(m1.labels)
-    iu = np.triu_indices(m1.n, k=1)
-    e1 = m1.values[iu]
-    e2 = m2.values[iu]
-    s1, s2 = e1.sum(), e2.sum()
-    if s1 <= 0 or s2 <= 0:
-        raise ZeroGraph("matrix sums to zero; cannot normalize")
-    return float(np.abs(e1 / s1 - e2 / s2).sum())
 
 
 def permute_labels(m: LabeledDistanceMatrix, perm) -> LabeledDistanceMatrix:
@@ -103,47 +85,60 @@ class DistortionReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _chunk_distortions(n1: np.ndarray, n2: np.ndarray, perms: np.ndarray
-                       ) -> np.ndarray:
-    """Distortion of n1 vs n2 conjugated by each permutation (rows of perms)."""
-    conj = n2[perms[:, :, None], perms[:, None, :]]
-    return np.abs(n1 - conj).sum(axis=(1, 2))
+def _relabeling_mean(n1: np.ndarray, n2: np.ndarray) -> float:
+    """Exact mean of the distortion over all n! relabelings of n2.
+
+    For i != j the pair (pi(i), pi(j)) is uniform over ordered distinct
+    pairs, so by linearity of expectation the mean is
+    sum_{i!=j} mean_{k!=l} |n1[i, j] - n2[k, l]|. The double sum of
+    |x - y| is taken over the sorted union of both cell sets: each gap
+    between neighbouring values is crossed by every (x, y) pair that it
+    separates. All terms are nonnegative, so nothing cancels and the
+    result is never below 0.
+    """
+    off = ~np.eye(len(n1), dtype=bool)
+    x, y = n1[off], n2[off]
+    cells = np.concatenate([x, y])
+    order = np.argsort(cells, kind="stable")
+    cx = np.cumsum(order < len(x))[:-1]  # x cells below each gap
+    cy = np.arange(1, len(cells)) - cx   # y cells below each gap
+    crossings = cx * (len(y) - cy) + (len(x) - cx) * cy
+    return float(np.diff(cells[order]) @ crossings / len(y))
 
 
-def _exact_chunks(n: int):
-    it = itertools.permutations(range(n))
-    while True:
-        block = list(itertools.islice(it, _CHUNK))
-        if not block:
-            return
-        yield np.array(block, dtype=int)
+def _relabeled_distortions(n1: np.ndarray, n2: np.ndarray, perms) -> np.ndarray:
+    """Distortion of n1 against n2 relabeled by each permutation in perms.
 
-
-def _sampled_chunks(n: int, samples: int, rng: np.random.Generator):
-    remaining = samples
-    while remaining > 0:
-        k = min(_CHUNK, remaining)
-        # Fisher-Yates per draw; sequential generation keeps results
-        # independent of how chunks are later dispatched to workers.
-        yield np.stack([rng.permutation(n) for _ in range(k)])
-        remaining -= k
+    Permutations are evaluated serially in blocks of about _BLOCK_CELLS
+    conjugated cells, so a block's working set stays small at any n.
+    """
+    size = max(1, _BLOCK_CELLS // n1.size)
+    values = []
+    for block in iter(lambda: list(itertools.islice(perms, size)), []):
+        p = np.array(block)
+        conj = n2[p[:, :, None], p[:, None, :]]
+        # in place: a block-sized temporary per step costs more than the math
+        np.abs(np.subtract(n1, conj, out=conj), out=conj)
+        values.append(conj.sum(axis=(1, 2)))
+    return np.concatenate(values)
 
 
 def permutation_stats(m1: LabeledDistanceMatrix, m2: LabeledDistanceMatrix,
                       max_exact_n: int = 9, samples: int = 10000, seed: int = 0,
-                      workers: int = 1, keep_distortions: bool = False
-                      ) -> DistortionReport:
+                      keep_distortions: bool = False) -> DistortionReport:
     """Calibrate graph_distortion(m1, m2) against relabelings of m2.
 
-    For n <= max_exact_n every one of the n! permutations is evaluated in
-    lexicographic order (identity included); otherwise `samples` seeded
-    random permutations are drawn. baseline_mean is the mean distortion over
-    those relabelings. baseline_std is the population dispersion of the
-    normalized comparison matrix's cells — a relabeling-invariant scale for
-    how much edge structure m2 has to disagree by — and the z-score is
-    (baseline_mean - distortion) / baseline_std, or None when that dispersion
-    is zero. Aggregation combines fixed-size chunks in a fixed order, so the
-    result is bit-identical for any worker count.
+    For n <= max_exact_n the baseline covers all n! permutations:
+    baseline_mean is their exact mean, computed in closed form without
+    enumerating them. Only keep_distortions enumerates them, in
+    lexicographic order (identity first), and it is refused above
+    MAX_ENUMERATED relabelings. Otherwise `samples` seeded random
+    permutations are drawn, and baseline_mean is their sample mean.
+    baseline_std is the population dispersion of the normalized comparison
+    matrix's cells — a relabeling-invariant scale for how much edge
+    structure m2 has to disagree by — and the z-score is
+    (baseline_mean - distortion) / baseline_std, or None when that
+    dispersion is zero.
     """
     if m1.n < 2:
         raise MalformedMatrix("distortion needs at least 2 labels")
@@ -154,32 +149,29 @@ def permutation_stats(m1: LabeledDistanceMatrix, m2: LabeledDistanceMatrix,
     distortion = float(np.abs(n1 - n2).sum())
     baseline_std = float(n2.std())
 
+    values = None
     if n <= max_exact_n:
         mode = BaselineMode.EXACT_ENUMERATION
         count = math.factorial(n)
-        chunks = _exact_chunks(n)
         sample_seed = None
+        if keep_distortions:
+            if count > MAX_ENUMERATED:
+                raise ConfigError(
+                    f"a histogram of all {n}! = {count} relabelings is too large "
+                    f"(limit {MAX_ENUMERATED}); lower max_exact_n to sample instead")
+            values = _relabeled_distortions(n1, n2, itertools.permutations(range(n)))
+        mean = _relabeling_mean(n1, n2)
     else:
         mode = BaselineMode.MONTE_CARLO
         count = samples
-        chunks = _sampled_chunks(n, samples, np.random.Generator(np.random.PCG64(seed)))
         sample_seed = seed
-
-    evaluate = lambda perms: _chunk_distortions(n1, n2, perms)  # noqa: E731
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk_values = list(pool.map(evaluate, chunks))
-    else:
-        chunk_values = [evaluate(perms) for perms in chunks]
-
-    total = 0.0
-    for vals in chunk_values:  # fixed chunk order -> deterministic sum
-        total += float(vals.sum())
-    mean = total / count
+        rng = np.random.Generator(np.random.PCG64(seed))
+        values = _relabeled_distortions(
+            n1, n2, (rng.permutation(n) for _ in range(samples)))
+        mean = float(values.mean())
     z_score = (mean - distortion) / baseline_std if baseline_std > 0 else None
-    values = np.concatenate(chunk_values) if keep_distortions else None
     return DistortionReport(distortion, mean, baseline_std, z_score, count,
-                            mode, sample_seed, values)
+                            mode, sample_seed, values if keep_distortions else None)
 
 
 def random_baseline(reference: LabeledDistanceMatrix, trials: int, seed: int

@@ -173,6 +173,7 @@ def load_concept_annotations(path, corpus: Corpus,
     additively (union with anything already present).
     """
     extra: dict[str, dict[int, set[ConceptTag]]] = {d.id: {} for d in corpus.documents}
+    sentence_counts = {d.id: len(d.sentences) for d in corpus.documents}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -186,7 +187,7 @@ def load_concept_annotations(path, corpus: Corpus,
                 raise AnnotationMismatch(f"{where}: malformed annotation line") from exc
             if doc_id not in extra:
                 raise AnnotationMismatch(f"{where}: unknown doc_id {doc_id!r}")
-            n_sent = len(corpus.document(doc_id).sentences)
+            n_sent = sentence_counts[doc_id]
             if not 0 <= sent_index < n_sent:
                 raise AnnotationMismatch(
                     f"{where}: sent_index {sent_index} out of range for "

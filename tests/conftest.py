@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,23 @@ import pytest
 from cliquedist import LabeledDistanceMatrix
 
 DATA = Path(__file__).resolve().parents[1] / "data"
+
+
+class Budget:
+    """Wall-clock guard: the block must finish within `seconds`."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def __enter__(self):
+        self.t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc):
+        if exc[0] is None:
+            elapsed = time.perf_counter() - self.t0
+            assert elapsed < self.seconds, (
+                f"block exceeded its {self.seconds}s budget: {elapsed:.2f}s")
 
 
 @pytest.fixture(scope="session")

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from cliquedist import load_distance_matrix, main, save_distance_matrix
-from cliquedist.cli import PipelineConfig, build_config, make_parser, parse_config_file
+from cliquedist.cli import _load_pipeline_corpus, build_config, make_parser, parse_config_file
 from cliquedist.errors import ConfigError
-from conftest import make_matrix
+from conftest import Budget, make_matrix, random_symmetric
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,7 +62,6 @@ def test_parse_config_file_missing():
 def test_bundled_example_config_parses():
     cfg = parse_config_file(REPO_ROOT / "data" / "toy_config.toml")
     assert cfg["model"] == "wmd"
-    assert cfg["workers"] == 1
 
 
 def test_flags_override_config_file(tmp_path):
@@ -78,15 +77,10 @@ def test_flags_override_config_file(tmp_path):
 
 def test_build_config_validates_ranges(tmp_path):
     for flags in (["--min-mutual", "0"], ["--samples", "0"],
-                  ["--max-exact-n", "-1"], ["--workers", "-2"]):
+                  ["--max-exact-n", "-1"]):
         args = make_parser().parse_args(["distances", *flags])
         with pytest.raises(ConfigError):
             build_config(args)
-
-
-def test_resolved_workers_defaults_to_cores():
-    assert PipelineConfig(workers=3).resolved_workers() == 3
-    assert PipelineConfig(workers=0).resolved_workers() >= 1
 
 
 # -- distances command -------------------------------------------------------------
@@ -195,6 +189,34 @@ def test_permtest_monte_carlo_flags(tmp_path):
     assert report["mode"] == "monte_carlo"
     assert report["permutation_count"] == 500
     assert report["seed"] == 11
+
+
+@pytest.fixture
+def twelve_label_pair(tmp_path):
+    rng = np.random.default_rng(12)
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        save_distance_matrix(random_symmetric(rng, 12), path)
+    return paths
+
+
+def test_permtest_exact_mean_needs_no_enumeration(twelve_label_pair, tmp_path):
+    with Budget(1.0):
+        code = run(["permtest", *twelve_label_pair, "--max-exact-n", "12",
+                    "--out", tmp_path])
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["mode"] == "exact_enumeration"
+    assert report["permutation_count"] == 479001600
+
+
+def test_permtest_histogram_too_large_is_config_error(twelve_label_pair, tmp_path, capsys):
+    hist = tmp_path / "hist.csv"
+    code = run(["permtest", *twelve_label_pair, "--max-exact-n", "12",
+                "--histogram", hist, "--out", tmp_path])
+    assert code == 2
+    assert "relabelings" in capsys.readouterr().err
+    assert not hist.exists()
 
 
 # -- export-graph command ---------------------------------------------------------------
@@ -346,3 +368,16 @@ def test_pipeline_runs_are_byte_identical(tmp_path, monkeypatch):
         blobs.append(tuple((out / f).read_bytes()
                            for f in ("distances.csv", "report.json", "graph.dot")))
     assert blobs[0] == blobs[1]
+
+
+def test_pipeline_keyword_filter_keeps_annotations(tmp_path, monkeypatch):
+    # annotations address sentences by their index before keyword filtering
+    monkeypatch.chdir(REPO_ROOT)
+    config = tmp_path / "cfg"
+    config.write_text((REPO_ROOT / "data" / "toy_config.toml").read_text()
+                      + "keyword_filter = AAFP:dense tissue\n")
+    assert run(["pipeline", "--config", config, "--out", tmp_path / "run"]) == 0
+    args = make_parser().parse_args(["pipeline", "--config", str(config)])
+    (kept,) = _load_pipeline_corpus(build_config(args)).document("AAFP").sentences
+    assert kept.text == "Dense tissue may call for additional imaging."
+    assert "C0205082" in kept.cuis()

@@ -15,7 +15,6 @@ from cliquedist import (
     permute_labels,
     random_baseline,
 )
-from cliquedist.distortion import _edge_sum_distortion
 from cliquedist.errors import (
     InvalidPermutation,
     LabelMismatch,
@@ -23,6 +22,23 @@ from cliquedist.errors import (
     ZeroGraph,
 )
 from conftest import make_matrix, random_symmetric
+
+
+def edge_sum_distortion(m1, m2):
+    """Reference for graph_distortion in the unordered-edge convention: each
+    triangle is normalized by its edge total and |differences| are summed
+    over edges only."""
+    m2 = m2.aligned_to(m1.labels)
+    iu = np.triu_indices(m1.n, k=1)
+    e1, e2 = m1.values[iu], m2.values[iu]
+    return float(np.abs(e1 / e1.sum() - e2 / e2.sum()).sum())
+
+
+def tied_integer_symmetric(rng, n):
+    """Symmetric clique of small integers: many equal cells, some zero."""
+    upper = np.triu(rng.integers(0, 3, size=(n, n)).astype(float), k=1)
+    upper[0, 1] += 1.0  # keep the total positive
+    return make_matrix(upper + upper.T)
 
 GOLDEN_DISTORTION = 0.313933661
 GOLDEN_BASELINE_MEAN = 0.381378177
@@ -104,13 +120,13 @@ def test_edge_sum_convention_agrees_exactly_on_dyadic_fixtures():
     # totals (16, 32) make the agreement bit-for-bit
     a = make_matrix([[0, 2, 6], [2, 0, 8], [6, 8, 0]])
     b = make_matrix([[0, 16, 4], [16, 0, 12], [4, 12, 0]])
-    assert graph_distortion(a, b) == _edge_sum_distortion(a, b)
+    assert graph_distortion(a, b) == edge_sum_distortion(a, b)
 
 
 def test_edge_sum_convention_golden(expert, wmd_matrix):
-    assert _edge_sum_distortion(expert, wmd_matrix) == pytest.approx(
+    assert edge_sum_distortion(expert, wmd_matrix) == pytest.approx(
         GOLDEN_DISTORTION, abs=1e-6)
-    assert _edge_sum_distortion(expert, wmd_matrix) == pytest.approx(
+    assert edge_sum_distortion(expert, wmd_matrix) == pytest.approx(
         graph_distortion(expert, wmd_matrix), abs=1e-14)
 
 
@@ -169,10 +185,20 @@ def test_permutation_stats_golden(expert, wmd_matrix):
 
 
 def test_permutation_stats_identity_first(expert, wmd_matrix):
-    report = permutation_stats(expert, wmd_matrix, keep_distortions=True)
-    assert len(report.distortions) == math.factorial(7)
-    # lexicographic enumeration starts at the identity permutation
-    assert report.distortions[0] == report.distortion
+    rng = np.random.default_rng(11)
+    cases = [(expert, wmd_matrix)]
+    for n in range(2, 9):
+        cases.append((random_symmetric(rng, n), random_symmetric(rng, n)))
+        cases.append((tied_integer_symmetric(rng, n), tied_integer_symmetric(rng, n)))
+    for a, b in cases:
+        report = permutation_stats(a, b, keep_distortions=True)
+        assert len(report.distortions) == math.factorial(a.n)
+        # lexicographic enumeration starts at the identity permutation
+        assert report.distortions[0] == report.distortion
+        # the closed-form mean is the mean of the enumerated relabelings
+        assert report.baseline_mean == pytest.approx(
+            report.distortions.mean(), abs=1e-12)
+        assert report.baseline_mean >= 0.0
 
 
 def test_permutation_stats_self_comparison(expert):
@@ -182,22 +208,14 @@ def test_permutation_stats_self_comparison(expert):
     assert report.baseline_mean > 0.0
 
 
-def test_permutation_stats_worker_invariance(expert, wmd_matrix):
-    r1 = permutation_stats(expert, wmd_matrix, workers=1)
-    r8 = permutation_stats(expert, wmd_matrix, workers=8)
-    assert r1.baseline_mean == r8.baseline_mean
-    assert r1.baseline_std == r8.baseline_std
-    assert r1.z_score == r8.z_score
-
-
 def test_permutation_stats_monte_carlo_mode(expert, wmd_matrix):
     r = permutation_stats(expert, wmd_matrix, max_exact_n=5, samples=2000, seed=3)
     assert r.mode is BaselineMode.MONTE_CARLO
     assert r.permutation_count == 2000
     assert r.sample_seed == 3
     again = permutation_stats(expert, wmd_matrix, max_exact_n=5, samples=2000,
-                              seed=3, workers=4)
-    assert r.baseline_mean == again.baseline_mean  # bit-equal across workers
+                              seed=3)
+    assert r.baseline_mean == again.baseline_mean  # bit-equal for the same seed
     other = permutation_stats(expert, wmd_matrix, max_exact_n=5, samples=2000,
                               seed=4)
     assert r.baseline_mean != other.baseline_mean
