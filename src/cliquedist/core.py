@@ -7,6 +7,7 @@ worker threads. Distance matrices are stored as full square arrays
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -183,35 +184,75 @@ class Corpus:
         raise KeyError(doc_id)
 
 
+def per_document(fn):
+    """fn(doc), computed once per Document object and reused after that.
+
+    Pairwise models use it to build each document's representation once
+    rather than once per pair. Failures are not cached.
+    """
+    done = {}
+
+    def cached(doc):
+        key = id(doc)
+        if key not in done:
+            done[key] = (doc, fn(doc))  # holding doc keeps its id unique
+        return done[key][1]
+
+    return cached
+
+
 class EmbeddingStore:
-    """word -> dense vector mapping with a fixed dimension."""
+    """word -> dense vector mapping with a fixed dimension.
+
+    The vectors are the rows of one read-only (V, dimension) float64 matrix,
+    found through a word -> row index; `vector` and `get` return read-only
+    views of those rows.
+    """
 
     def __init__(self, dimension: int, vectors: dict[str, np.ndarray]):
         if dimension < 1:
             raise MalformedEmbedding(f"dimension must be positive, got {dimension}")
-        self.dimension = int(dimension)
-        self._vectors = {}
+        rows = []
         for word, vec in vectors.items():
             v = np.asarray(vec, dtype=float)
-            if v.shape != (self.dimension,):
+            if v.shape != (dimension,):
                 raise MalformedEmbedding(
                     f"vector for {word!r} has length {v.shape}, expected {dimension}")
             if not np.isfinite(v).all():
                 raise MalformedEmbedding(f"vector for {word!r} is not finite")
-            v.setflags(write=False)
-            self._vectors[word] = v
+            rows.append(v)
+        self._attach(list(vectors), np.array(rows).reshape(len(rows), int(dimension)))
+
+    @classmethod
+    def _from_rows(cls, words: list[str], rows: np.ndarray) -> "EmbeddingStore":
+        """Store over finite float64 rows that the caller has checked."""
+        store = cls.__new__(cls)
+        store._attach(words, rows)
+        return store
+
+    def _attach(self, words, rows):
+        # words[i] names rows[i]; a repeated word keeps its last row.
+        rows.setflags(write=False)
+        self.dimension = rows.shape[1]
+        self._rows = rows
+        self._index = {word: i for i, word in enumerate(words)}
 
     def __contains__(self, word: str) -> bool:
-        return word in self._vectors
+        return word in self._index
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._index)
 
     def vector(self, word: str) -> np.ndarray:
-        return self._vectors[word]
+        return self._rows[self._index[word]]
 
     def get(self, word: str):
-        return self._vectors.get(word)
+        i = self._index.get(word)
+        return None if i is None else self._rows[i]
+
+    def rows(self, words) -> np.ndarray:
+        """(len(words), dimension) block of the words' vectors, in order."""
+        return self._rows[[self._index[w] for w in words]]
 
 
 # -- file ingestion -----------------------------------------------------------
@@ -243,9 +284,22 @@ def load_feature_table(path) -> FeatureTable:
 def load_embeddings(path) -> EmbeddingStore:
     """Read a word2vec-text file: header `<count> <dim>`, then one word per line.
 
-    A count that disagrees with the number of vector lines is tolerated with
-    a warning; a dimension violation on any line is an error.
+    The vector body is parsed in one pass by numpy's C reader into a single
+    (V, dim+1) float64 array whose first column stands in for the words;
+    the words are collected by that column's converter, so they line up with
+    the rows. Blank lines are skipped, and a repeated word keeps its last
+    line. A count that disagrees with the number of distinct words is
+    tolerated with a warning. A line with too few or too many components, a
+    component that does not parse as a decimal float, or a non-finite one
+    is an error; its message names `path:lineno` and the word, found by
+    rescanning the file.
     """
+    words = []
+
+    def keep_word(word):
+        words.append(word)
+        return 0.0
+
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -256,27 +310,50 @@ def load_embeddings(path) -> EmbeddingStore:
             raise MalformedEmbedding(f"{path}: malformed header {header!r}") from None
         if dim < 1:
             raise MalformedEmbedding(f"{path}: dimension must be positive, got {dim}")
-        vectors = {}
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                body = np.loadtxt(fh, converters={0: keep_word}, comments=None,
+                                  ndmin=2, encoding="utf-8")
+        except ValueError as exc:
+            raise MalformedEmbedding(_first_bad_line(path, dim, str(exc))) from None
+    if not words:
+        body = np.empty((0, dim + 1))
+    if body.shape[1] != dim + 1 or not np.isfinite(body).all():
+        raise MalformedEmbedding(
+            _first_bad_line(path, dim, f"expected {dim} finite components per line"))
+    store = EmbeddingStore._from_rows(words, body[:, 1:])
+    if len(store) != count:
+        warnings.warn(
+            f"{path}: header declares {count} vectors, file has {len(store)}",
+            stacklevel=2)
+    return store
+
+
+def _first_bad_line(path, dim, detail):
+    """Message for the first vector line with a wrong component count, a
+    component float() rejects, or a non-finite component.
+
+    If no line fails these checks (numpy's parser is stricter than float(),
+    e.g. about `1_000`), the message is `detail`, the reader's own complaint.
+    """
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
                 continue
             word, comps = parts[0], parts[1:]
             if len(comps) != dim:
-                raise MalformedEmbedding(
-                    f"{path}:{lineno}: {word!r} has {len(comps)} components, "
-                    f"expected {dim}")
+                return (f"{path}:{lineno}: {word!r} has {len(comps)} components, "
+                        f"expected {dim}")
             try:
-                vec = np.array([float(c) for c in comps])
+                values = [float(c) for c in comps]
             except ValueError:
-                raise MalformedEmbedding(
-                    f"{path}:{lineno}: non-numeric component for {word!r}") from None
-            vectors[word] = vec
-    if len(vectors) != count:
-        warnings.warn(
-            f"{path}: header declares {count} vectors, file has {len(vectors)}",
-            stacklevel=2)
-    return EmbeddingStore(dim, vectors)
+                return f"{path}:{lineno}: non-numeric component for {word!r}"
+            if not all(map(math.isfinite, values)):
+                return f"{path}:{lineno}: non-finite component for {word!r}"
+    return f"{path}: {detail}"
 
 
 def load_distance_matrix(path) -> LabeledDistanceMatrix:

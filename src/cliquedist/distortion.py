@@ -142,6 +142,8 @@ def permutation_stats(m1: LabeledDistanceMatrix, m2: LabeledDistanceMatrix,
     """
     if m1.n < 2:
         raise MalformedMatrix("distortion needs at least 2 labels")
+    if samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {samples}")
     m2 = m2.aligned_to(m1.labels)
     n1 = normalize_matrix(m1).values
     n2 = normalize_matrix(m2).values

@@ -7,7 +7,14 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Corpus, Document, EmbeddingStore, FeatureTable, LabeledDistanceMatrix
+from .core import (
+    Corpus,
+    Document,
+    EmbeddingStore,
+    FeatureTable,
+    LabeledDistanceMatrix,
+    per_document,
+)
 from .errors import (
     CliqueDistError,
     CorpusError,
@@ -52,10 +59,10 @@ def document_vector(doc: Document, store: EmbeddingStore,
     tokens = doc.tokens()
     if unique_tokens:
         tokens = sorted(set(tokens))
-    vecs = [store.vector(t) for t in tokens if t in store]
-    if not vecs:
+    known = [t for t in tokens if t in store]
+    if not known:
         raise EmptyVectorError(f"document {doc.id!r} has no in-vocabulary tokens")
-    return np.mean(vecs, axis=0)
+    return np.mean(store.rows(known), axis=0)
 
 
 def cosine_similarity(u, v) -> float:
@@ -84,11 +91,15 @@ def sim_to_distance(sim: float, transform: SimilarityTransform) -> float:
 def cosine_model(store: EmbeddingStore,
                  transform: SimilarityTransform = SimilarityTransform.ONE_MINUS_SIM,
                  unique_tokens: bool = False):
-    """Document-distance function: transformed cosine of pooled vectors."""
+    """Document-distance function: transformed cosine of pooled vectors.
+
+    Each document is pooled once, on its first pair; the cosine and the
+    transform are evaluated per pair.
+    """
+    pooled = per_document(lambda doc: document_vector(doc, store, unique_tokens))
 
     def model(a: Document, b: Document) -> float:
-        sim = cosine_similarity(document_vector(a, store, unique_tokens),
-                                document_vector(b, store, unique_tokens))
+        sim = cosine_similarity(pooled(a), pooled(b))
         return sim_to_distance(sim, transform)
 
     return model

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Document, EmbeddingStore
+from .core import Document, EmbeddingStore, per_document
 from .errors import EmptyVectorError, InfeasibleMarginals, SolverError, ZeroNorm
 
 DEFAULT_STOPWORDS = frozenset("""
@@ -109,10 +109,15 @@ def nbow(doc: Document, store: EmbeddingStore,
 
 
 def ground_costs(a: NBow, b: NBow, store: EmbeddingStore,
-                 config: WmdConfig = DEFAULT_WMD_CONFIG) -> np.ndarray:
-    """Pairwise transport costs between the two supports."""
-    va = np.stack([store.vector(w) for w in a.support])
-    vb = np.stack([store.vector(w) for w in b.support])
+                 config: WmdConfig = DEFAULT_WMD_CONFIG, vectors=None) -> np.ndarray:
+    """Pairwise transport costs between the two supports.
+
+    `vectors` is the pair of support embedding blocks, in support order, for
+    a caller that already holds them; by default they are read from store.
+    """
+    if vectors is None:
+        vectors = store.rows(a.support), store.rows(b.support)
+    va, vb = vectors
     if config.ground_metric == "euclidean":
         diff = va[:, None, :] - vb[None, :, :]
         return np.sqrt((diff * diff).sum(axis=2))
@@ -294,9 +299,20 @@ def rwmd_lower_bound(doc_a: Document, doc_b: Document, store: EmbeddingStore,
 
 
 def wmd_model(store: EmbeddingStore, config: WmdConfig = DEFAULT_WMD_CONFIG):
-    """Document-distance function for pairwise_distances."""
+    """Document-distance function for pairwise_distances.
+
+    Each document's nBOW and embedding block are built once, on its first
+    pair; the ground costs and the transport problem are solved per pair.
+    """
+
+    def bag(doc):
+        bow = nbow(doc, store, config)
+        return bow, store.rows(bow.support)
+
+    bags = per_document(bag)
 
     def model(a: Document, b: Document) -> float:
-        return wmd(a, b, store, config)
+        (na, va), (nb, vb) = bags(a), bags(b)
+        return solve_ot(na, nb, ground_costs(na, nb, store, config, (va, vb))).cost
 
     return model

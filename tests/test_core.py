@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,7 +98,8 @@ def test_load_embeddings_basic(tmp_path):
 def test_load_embeddings_arity_violation(tmp_path):
     p = tmp_path / "e.txt"
     p.write_text("3 2\na 1 0\nb 0 1\nc 1 2 3\n")
-    with pytest.raises(MalformedEmbedding):
+    with pytest.raises(MalformedEmbedding,
+                       match=re.escape(f"{p}:4: 'c' has 3 components, expected 2")):
         load_embeddings(p)
 
 
@@ -118,8 +121,92 @@ def test_load_embeddings_bad_header(tmp_path):
 def test_load_embeddings_nonfinite(tmp_path):
     p = tmp_path / "e.txt"
     p.write_text("1 2\na nan 0\n")
-    with pytest.raises(MalformedEmbedding):
+    with pytest.raises(MalformedEmbedding,
+                       match=re.escape(f"{p}:2: non-finite component for 'a'")):
         load_embeddings(p)
+
+
+@pytest.mark.parametrize("body, found", [
+    ("a 1 0 5\nb 0 1 5\n", 3),  # every line agrees; only the header's 2 catches it
+    ("a 1\nb 0 1\n", 1),
+])
+def test_load_embeddings_wrong_count_on_first_line(tmp_path, body, found):
+    p = tmp_path / "e.txt"
+    p.write_text("2 2\n" + body)
+    with pytest.raises(MalformedEmbedding,
+                       match=re.escape(f"{p}:2: 'a' has {found} components, expected 2")):
+        load_embeddings(p)
+
+
+def test_load_embeddings_non_numeric_names_line_and_word(tmp_path):
+    p = tmp_path / "e.txt"
+    p.write_text("2 2\na 1 0\n\nb 0 one\n")
+    with pytest.raises(MalformedEmbedding,
+                       match=re.escape(f"{p}:4: non-numeric component for 'b'")):
+        load_embeddings(p)
+
+
+def test_load_embeddings_skips_blank_lines(tmp_path):
+    p = tmp_path / "e.txt"
+    p.write_text("2 2\n\na 1 0\n   \n\nb 0 1\n\n")
+    store = load_embeddings(p)
+    assert len(store) == 2
+    assert np.array_equal(store.vector("a"), [1.0, 0.0])
+    assert np.array_equal(store.vector("b"), [0.0, 1.0])
+
+
+def test_load_embeddings_duplicate_word_keeps_last_line(tmp_path):
+    p = tmp_path / "e.txt"
+    p.write_text("3 2\na 1 0\nb 0 1\na 2 3\n")
+    with pytest.warns(UserWarning, match="declares 3 vectors, file has 2"):
+        store = load_embeddings(p)
+    assert len(store) == 2
+    assert np.array_equal(store.vector("a"), [2.0, 3.0])
+    assert np.array_equal(store.get("b"), [0.0, 1.0])
+
+
+def test_load_embeddings_header_only(tmp_path):
+    p = tmp_path / "e.txt"
+    p.write_text("0 3\n")
+    store = load_embeddings(p)
+    assert len(store) == 0
+    assert store.dimension == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 4).flatmap(lambda d: st.lists(
+           st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=d, max_size=d), min_size=1, max_size=6)),
+       four_decimals=st.booleans())
+def test_load_embeddings_matches_float_bit_for_bit(tmp_path_factory, rows, four_decimals):
+    fmt = "{:+.4f}" if four_decimals else "{!r}"
+    words = [f"w{i}" for i in range(len(rows))]
+    text = [[fmt.format(x) for x in row] for row in rows]
+    p = tmp_path_factory.mktemp("emb") / "e.txt"
+    p.write_text(f"{len(rows)} {len(rows[0])}\n" + "".join(
+        " ".join([w] + comps) + "\n" for w, comps in zip(words, text)))
+    store = load_embeddings(p)
+    for w, comps in zip(words, text):
+        expected = np.array([float(c) for c in comps])
+        assert store.vector(w).tobytes() == expected.tobytes()
+
+
+def test_embedding_store_rows_are_read_only(tmp_path):
+    p = tmp_path / "e.txt"
+    p.write_text("2 2\na 1 0\nb 0 1\n")
+    built = EmbeddingStore(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
+    for store in (load_embeddings(p), built):
+        assert np.array_equal(store.rows(["b", "a", "b"]),
+                              [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        assert store.get("c") is None
+        for word in ("a", "b"):
+            with pytest.raises(ValueError):
+                store.vector(word)[0] = 9.0
+
+
+def test_embedding_store_rejects_nonfinite():
+    with pytest.raises(MalformedEmbedding, match="'b' is not finite"):
+        EmbeddingStore(2, {"a": np.zeros(2), "b": np.array([0.0, np.nan])})
 
 
 def test_embedding_store_rejects_wrong_length():

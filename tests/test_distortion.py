@@ -16,6 +16,7 @@ from cliquedist import (
     random_baseline,
 )
 from cliquedist.errors import (
+    ConfigError,
     InvalidPermutation,
     LabelMismatch,
     MalformedMatrix,
@@ -222,6 +223,12 @@ def test_permutation_stats_monte_carlo_mode(expert, wmd_matrix):
     # sampled mean lands near the exact enumeration mean
     exact = permutation_stats(expert, wmd_matrix)
     assert r.baseline_mean == pytest.approx(exact.baseline_mean, abs=0.005)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_permutation_stats_rejects_too_few_samples(expert, wmd_matrix, samples):
+    with pytest.raises(ConfigError, match="samples must be >= 1"):
+        permutation_stats(expert, wmd_matrix, max_exact_n=3, samples=samples)
 
 
 def test_permutation_stats_uniform_graph_unmoved_by_relabeling():

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -32,6 +33,9 @@ from cliquedist.errors import (
     ZeroNorm,
 )
 from conftest import make_matrix
+
+METRICS_MODULE = importlib.import_module("cliquedist.metrics")
+WMD_MODULE = importlib.import_module("cliquedist.wmd")
 
 ONE_MINUS = SimilarityTransform.ONE_MINUS_SIM
 RECIP = SimilarityTransform.RECIPROCAL_MINUS_ONE
@@ -223,3 +227,51 @@ def test_pairwise_distances_error_names_pair():
 def test_pairwise_distances_needs_two_documents():
     with pytest.raises(CorpusError):
         pairwise_distances(Corpus((_word_doc("A", "a"),)), cosine_model(STORE))
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper; returns the list of document ids it saw."""
+    real, seen = getattr(module, name), []
+
+    def wrapper(doc, *args, **kwargs):
+        seen.append(doc.id)
+        return real(doc, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return seen
+
+
+POOLING_CORPUS = Corpus((_word_doc("A", "a", "b", "a"), _word_doc("B", "b"),
+                         _word_doc("C", "c", "a"), _word_doc("D", "c", "c", "b"),
+                         _word_doc("E", "a", "zzz", "c")))
+
+
+@pytest.mark.parametrize("transform", [ONE_MINUS, RECIP])
+@pytest.mark.parametrize("unique", [False, True])
+def test_cosine_model_pools_each_document_once(monkeypatch, transform, unique):
+    docs = POOLING_CORPUS.documents
+    reference = np.zeros((len(docs), len(docs)))
+    for i, a in enumerate(docs):
+        for j, b in enumerate(docs):
+            if i != j:
+                sim = cosine_similarity(document_vector(a, STORE, unique),
+                                        document_vector(b, STORE, unique))
+                reference[i, j] = sim_to_distance(sim, transform)
+    seen = _counting(monkeypatch, METRICS_MODULE, "document_vector")
+    m = pairwise_distances(POOLING_CORPUS, cosine_model(STORE, transform, unique))
+    assert sorted(seen) == list(POOLING_CORPUS.ids)
+    assert m.values.tobytes() == reference.tobytes()
+
+
+def test_wmd_model_builds_each_bag_once(monkeypatch):
+    config = WmdConfig(remove_stopwords=False)
+    docs = POOLING_CORPUS.documents
+    reference = np.zeros((len(docs), len(docs)))
+    for i, a in enumerate(docs):
+        for j, b in enumerate(docs):
+            if i < j:
+                reference[i, j] = reference[j, i] = WMD_MODULE.wmd(a, b, STORE, config)
+    seen = _counting(monkeypatch, WMD_MODULE, "nbow")
+    m = pairwise_distances(POOLING_CORPUS, wmd_model(STORE, config))
+    assert sorted(seen) == list(POOLING_CORPUS.ids)
+    assert m.values.tobytes() == reference.tobytes()

@@ -30,12 +30,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 NO_STOP = WmdConfig(remove_stopwords=False)
 
-STORE = EmbeddingStore(3, {
+VECTORS = {
     "alpha": np.array([1.0, 0.0, 0.0]),
     "beta": np.array([0.0, 1.0, 0.0]),
     "gamma": np.array([0.0, 0.0, 1.0]),
     "delta": np.array([1.0, 1.0, 0.0]),
-})
+}
+STORE = EmbeddingStore(3, VECTORS)
 
 
 def _doc(doc_id, *words):
@@ -307,7 +308,7 @@ def test_wmd_single_word_reduces_to_ground_distance():
 
 def test_rwmd_lower_bound_never_exceeds_wmd():
     rng = np.random.default_rng(42)
-    words = list(STORE._vectors)
+    words = list(VECTORS)
     for _ in range(30):
         w1 = [words[k] for k in rng.integers(0, len(words), size=rng.integers(1, 5))]
         w2 = [words[k] for k in rng.integers(0, len(words), size=rng.integers(1, 5))]
