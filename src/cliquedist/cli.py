@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .core import (
@@ -43,7 +43,7 @@ from .textprep import (
     load_summary_statements,
     split_related,
 )
-from .wmd import WmdConfig, wmd_model
+from .wmd import GROUND_METRICS, WmdConfig, wmd_model
 
 MODELS = ("feature-table", "cosine", "wmd")
 
@@ -73,24 +73,32 @@ class PipelineConfig:
     histogram_path: str | None = None
 
 
-_INT_KEYS = {"min_mutual", "seed", "max_exact_n", "mc_samples"}
-_BOOL_KEYS = {"remove_stopwords", "unique_pooling"}
 _CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
+# What each choice key accepts; values are canonicalized (case, `_` -> `-`)
+# and checked by build_config before any input is read.
+CHOICES = {
+    "model": MODELS,
+    "transform": tuple(t.value for t in SimilarityTransform),
+    "relatedness_mode": tuple(m.value for m in RelatednessMode),
+    "ground_metric": GROUND_METRICS,
+}
 
 
 def _coerce(key: str, raw: str):
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key!r} needs an integer, got {raw!r}") from None
-    if key in _BOOL_KEYS:
+    """A key's type is the type of its default: bool, int, otherwise text."""
+    default = getattr(PipelineConfig, key)
+    if isinstance(default, bool):
         low = raw.lower()
         if low in ("true", "yes", "1"):
             return True
         if low in ("false", "no", "0"):
             return False
         raise ConfigError(f"config key {key!r} needs a boolean, got {raw!r}")
+    if isinstance(default, int):
+        try:
+            return int(raw)
+        except ValueError:
+            raise ConfigError(f"config key {key!r} needs an integer, got {raw!r}") from None
     return raw
 
 
@@ -118,21 +126,23 @@ def parse_config_file(path) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
-    """Defaults <- config file <- command-line flags (flags win)."""
-    cfg = PipelineConfig()
-    if getattr(args, "config", None):
-        cfg = replace(cfg, **parse_config_file(args.config))
-    overrides = {}
-    for flag, key in [("model", "model"), ("transform", "transform"),
-                      ("mode", "relatedness_mode"), ("min_mutual", "min_mutual"),
-                      ("seed", "seed"), ("samples", "mc_samples"),
-                      ("max_exact_n", "max_exact_n"), ("out", "output_dir"),
-                      ("histogram", "histogram_path")]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    """Defaults <- config file <- command-line flags (flags win).
+
+    A flag's `dest` is its config key. Every choice key is stored in its
+    canonical spelling, so later code can build the enum directly.
+    """
+    values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    values.update({k: v for k, v in vars(args).items()
+                   if k in _CONFIG_KEYS and v is not None})
+    for key, allowed in CHOICES.items():
+        if values.get(key) is None:
+            continue
+        value = values[key].strip().lower().replace("_", "-")
+        if value not in allowed:
+            raise ConfigError(f"config key {key!r} needs one of "
+                              f"{', '.join(allowed)}, got {values[key]!r}")
+        values[key] = value
+    cfg = PipelineConfig(**values)
     if cfg.min_mutual < 1:
         raise ConfigError(f"min_mutual must be >= 1, got {cfg.min_mutual}")
     if cfg.mc_samples < 1:
@@ -140,44 +150,6 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     if cfg.max_exact_n < 0:
         raise ConfigError(f"max_exact_n must be >= 0, got {cfg.max_exact_n}")
     return cfg
-
-
-def _canon(value: str) -> str:
-    return value.strip().lower().replace("_", "-")
-
-
-def _parse_model(cfg) -> str:
-    model = _canon(cfg.model)
-    if model == "featuretable":
-        model = "feature-table"
-    if model not in MODELS:
-        raise ConfigError(f"unknown model {cfg.model!r}; choose from {MODELS}")
-    return model
-
-
-def _parse_transform(cfg) -> SimilarityTransform:
-    name = _canon(cfg.transform)
-    for t in SimilarityTransform:
-        if t.value == name:
-            return t
-    raise ConfigError(
-        f"unknown transform {cfg.transform!r}; choose from "
-        f"{[t.value for t in SimilarityTransform]}")
-
-
-def _parse_relatedness(cfg) -> RelatednessConfig | None:
-    if cfg.relatedness_mode is None:
-        return None
-    name = _canon(cfg.relatedness_mode)
-    for mode in RelatednessMode:
-        if mode.value == name:
-            try:
-                return RelatednessConfig(mode, cfg.min_mutual)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-    raise ConfigError(
-        f"unknown relatedness mode {cfg.relatedness_mode!r}; choose from "
-        f"{[m.value for m in RelatednessMode]}")
 
 
 def _parse_semfilter(cfg) -> SemanticTypeFilter:
@@ -229,6 +201,18 @@ def _load_annotated_corpus(cfg: PipelineConfig, semfilter: SemanticTypeFilter) -
     return corpus
 
 
+def _related_splits(cfg: PipelineConfig, corpus: Corpus,
+                    semfilter: SemanticTypeFilter) -> list:
+    """(document, related, unrelated) per document, split against the
+    summary statements by the configured relatedness mode."""
+    _require_path(cfg.annotations_path, "annotations_path")
+    statements = load_summary_statements(
+        _require_path(cfg.summary_path, "summary_path"), semfilter)
+    relatedness = RelatednessConfig(RelatednessMode(cfg.relatedness_mode), cfg.min_mutual)
+    return [(doc, *split_related(doc, statements, relatedness))
+            for doc in corpus.documents]
+
+
 def _load_pipeline_corpus(cfg: PipelineConfig) -> Corpus:
     """Corpus with lexicon merging, annotations, keyword filtering, and the
     optional related-sentences restriction applied."""
@@ -244,15 +228,9 @@ def _load_pipeline_corpus(cfg: PipelineConfig) -> Corpus:
             filter_sentences_by_keyword(d, rules[d.id]) if d.id in rules else d
             for d in corpus.documents))
 
-    relatedness = _parse_relatedness(cfg)
-    if relatedness is not None:
-        _require_path(cfg.summary_path, "summary_path")
-        if cfg.annotations_path is None:
-            raise ConfigError("relatedness filtering requires annotations_path")
-        statements = load_summary_statements(cfg.summary_path, semfilter)
+    if cfg.relatedness_mode is not None:
         docs = []
-        for doc in corpus.documents:
-            related, _ = split_related(doc, statements, relatedness)
+        for doc, related, _ in _related_splits(cfg, corpus, semfilter):
             if not related:
                 raise CorpusError(
                     f"document {doc.id!r} has no sentences related to the summary")
@@ -262,21 +240,16 @@ def _load_pipeline_corpus(cfg: PipelineConfig) -> Corpus:
 
 
 def _build_model_matrix(cfg: PipelineConfig) -> LabeledDistanceMatrix:
-    model = _parse_model(cfg)
-    if model == "feature-table":
+    if cfg.model == "feature-table":
         path = _require_path(cfg.feature_table_path, "feature_table_path")
         return feature_difference_counts(load_feature_table(path))
     corpus = _load_pipeline_corpus(cfg)
     store = load_embeddings(_require_path(cfg.embeddings_path, "embeddings_path"))
-    if model == "cosine":
-        fn = cosine_model(store, _parse_transform(cfg), cfg.unique_pooling)
+    if cfg.model == "cosine":
+        fn = cosine_model(store, SimilarityTransform(cfg.transform), cfg.unique_pooling)
     else:
-        try:
-            wmd_cfg = WmdConfig(remove_stopwords=cfg.remove_stopwords,
-                                ground_metric=_canon(cfg.ground_metric))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        fn = wmd_model(store, wmd_cfg)
+        fn = wmd_model(store, WmdConfig(remove_stopwords=cfg.remove_stopwords,
+                                        ground_metric=cfg.ground_metric))
     return pairwise_distances(corpus, fn)
 
 
@@ -310,19 +283,14 @@ def cmd_permtest(cfg: PipelineConfig, path_a, path_b) -> Path:
 
 
 def cmd_filter(cfg: PipelineConfig) -> Path:
-    relatedness = _parse_relatedness(cfg)
-    if relatedness is None:
+    if cfg.relatedness_mode is None:
         raise ConfigError("filter requires relatedness_mode (--mode)")
-    _require_path(cfg.annotations_path, "annotations_path")
-    _require_path(cfg.summary_path, "summary_path")
     semfilter = _parse_semfilter(cfg)
     corpus = _load_annotated_corpus(cfg, semfilter)
-    statements = load_summary_statements(cfg.summary_path, semfilter)
 
     out_dir = Path(cfg.output_dir)
     manifest = {}
-    for doc in corpus.documents:
-        related, unrelated = split_related(doc, statements, relatedness)
+    for doc, related, unrelated in _related_splits(cfg, corpus, semfilter):
         if not related:
             print(f"warning: document {doc.id!r} has no related sentences",
                   file=sys.stderr)
@@ -333,8 +301,8 @@ def cmd_filter(cfg: PipelineConfig) -> Path:
         manifest[doc.id] = {"related": len(related), "unrelated": len(unrelated)}
     payload = {
         "documents": manifest,
-        "min_mutual": relatedness.min_mutual,
-        "mode": relatedness.mode.value,
+        "min_mutual": cfg.min_mutual,
+        "mode": cfg.relatedness_mode,
     }
     out = out_dir / "manifest.json"
     _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -348,7 +316,6 @@ def cmd_export_graph(matrix_path, fmt: str, out_path) -> Path:
     labels = m.labels
     edges = [(labels[i], labels[j], 2.0 * norm[i, j])
              for i in range(m.n) for j in range(i + 1, m.n)]
-    fmt = _canon(fmt)
     out = Path(out_path)
     if fmt == "dot":
         lines = ["graph distances {"]
@@ -381,16 +348,18 @@ def cmd_pipeline(cfg: PipelineConfig) -> list[Path]:
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file")
-    common.add_argument("--model", choices=MODELS)
-    common.add_argument("--transform",
-                        choices=[t.value for t in SimilarityTransform])
-    common.add_argument("--mode", choices=[m.value for m in RelatednessMode],
+    common.add_argument("--model", choices=CHOICES["model"])
+    common.add_argument("--transform", choices=CHOICES["transform"])
+    common.add_argument("--mode", dest="relatedness_mode",
+                        choices=CHOICES["relatedness_mode"],
                         help="relatedness mode for sentence filtering")
     common.add_argument("--min-mutual", dest="min_mutual", type=int)
     common.add_argument("--seed", type=int)
-    common.add_argument("--samples", type=int, help="Monte Carlo permutation count")
+    common.add_argument("--samples", dest="mc_samples", metavar="SAMPLES", type=int,
+                        help="Monte Carlo permutation count")
     common.add_argument("--max-exact-n", dest="max_exact_n", type=int)
-    common.add_argument("--out", help="output directory (or file for export-graph)")
+    common.add_argument("--out", dest="output_dir", metavar="OUT",
+                        help="output directory (or file for export-graph)")
 
     p = argparse.ArgumentParser(
         prog="cliquedist",
@@ -402,7 +371,8 @@ def make_parser() -> argparse.ArgumentParser:
                         help="distortion + permutation statistics for two matrices")
     pt.add_argument("matrix_a", help="reference matrix CSV")
     pt.add_argument("matrix_b", help="comparison matrix CSV (gets relabeled)")
-    pt.add_argument("--histogram", help="also write per-permutation distortions CSV")
+    pt.add_argument("--histogram", dest="histogram_path", metavar="HISTOGRAM",
+                    help="also write per-permutation distortions CSV")
     sub.add_parser("filter", parents=[common],
                    help="split corpus sentences into related/unrelated")
     eg = sub.add_parser("export-graph", parents=[common],
@@ -425,8 +395,8 @@ def main(argv=None) -> int:
         elif args.command == "filter":
             written = [cmd_filter(cfg)]
         elif args.command == "export-graph":
-            out = Path(args.out) if args.out else Path(cfg.output_dir) / "graph.dot"
-            if out.is_dir():
+            out = Path(cfg.output_dir)
+            if args.output_dir is None or out.is_dir():
                 out = out / f"graph.{args.format}"
             written = [cmd_export_graph(args.matrix, args.format, out)]
         else:

@@ -1,8 +1,8 @@
 """Shared domain types, validation, and file ingestion.
 
-All types are immutable after construction and safe to share across
-worker threads. Distance matrices are stored as full square arrays
-(both triangles); the unordered-edge view is always derived, never stored.
+All types are immutable after construction. Distance matrices are stored
+as full square arrays (both triangles); the unordered-edge view is always
+derived, never stored.
 """
 from __future__ import annotations
 

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .core import LabeledDistanceMatrix
-from .errors import ConfigError, InvalidPermutation, MalformedMatrix
+from .errors import ConfigError, InvalidPermutation, MalformedMatrix, NumericError
 from .metrics import normalize_matrix
 
 # Relabelings are evaluated in blocks of about this many conjugated cells.
@@ -66,9 +66,9 @@ class DistortionReport:
 
     def __post_init__(self):
         if not 0.0 <= self.distortion <= 2.0 + 1e-12:
-            raise ValueError(f"distortion {self.distortion} outside [0, 2]")
+            raise NumericError(f"distortion {self.distortion} outside [0, 2]")
         if self.baseline_std < 0:
-            raise ValueError("baseline_std must be nonnegative")
+            raise NumericError("baseline_std must be nonnegative")
 
     def to_json_dict(self) -> dict:
         return {
@@ -186,7 +186,7 @@ def random_baseline(reference: LabeledDistanceMatrix, trials: int, seed: int
     results.
     """
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     n = reference.n
     if n < 2:
         raise MalformedMatrix("distortion needs at least 2 labels")

@@ -1,8 +1,7 @@
 """Tokenization, concept merging, annotation ingestion, and the
 related/unrelated sentence split.
 
-All functions are pure over immutable inputs and safe to run per-document
-in parallel.
+All functions are pure over immutable inputs.
 """
 from __future__ import annotations
 

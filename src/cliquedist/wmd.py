@@ -35,16 +35,17 @@ yourselves
 
 MARGINAL_TOL = 1e-9
 MAX_PIVOTS = 200_000
+GROUND_METRICS = ("euclidean", "cosine")
 
 
 @dataclass(frozen=True)
 class WmdConfig:
     remove_stopwords: bool = True
     stopwords: frozenset[str] = DEFAULT_STOPWORDS
-    ground_metric: str = "euclidean"  # or "cosine"
+    ground_metric: str = "euclidean"  # one of GROUND_METRICS
 
     def __post_init__(self):
-        if self.ground_metric not in ("euclidean", "cosine"):
+        if self.ground_metric not in GROUND_METRICS:
             raise ValueError(f"unknown ground metric {self.ground_metric!r}")
 
 

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from cliquedist import load_distance_matrix, main, save_distance_matrix
-from cliquedist.cli import _load_pipeline_corpus, build_config, make_parser, parse_config_file
+from cliquedist.cli import (
+    CHOICES,
+    _load_pipeline_corpus,
+    build_config,
+    make_parser,
+    parse_config_file,
+)
 from cliquedist.errors import ConfigError
 from conftest import Budget, make_matrix, random_symmetric
 
@@ -64,14 +70,29 @@ def test_bundled_example_config_parses():
     assert cfg["model"] == "wmd"
 
 
+def test_readme_config_block_is_a_valid_config(tmp_path):
+    readme = (REPO_ROOT / "README.md").read_text()
+    block = readme.split("Common keys", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    p = tmp_path / "cfg"
+    p.write_text(block)
+    args = make_parser().parse_args(["pipeline", "--config", str(p)])
+    cfg = build_config(args)
+    for key, allowed in CHOICES.items():
+        assert getattr(cfg, key) in allowed
+        for value in allowed:
+            assert value in block, f"README does not list {key} = {value}"
+
+
 def test_flags_override_config_file(tmp_path):
     p = tmp_path / "cfg"
-    p.write_text("seed = 17\nmodel = wmd\noutput_dir = from_file\n")
+    p.write_text("seed = 17\nmodel = WMD\ntransform = One_Minus_Sim\n"
+                 "output_dir = from_file\n")
     args = make_parser().parse_args(
         ["distances", "--config", str(p), "--seed", "99", "--out", "from_flag"])
     cfg = build_config(args)
     assert cfg.seed == 99                  # flag wins
     assert cfg.model == "wmd"              # file survives where no flag given
+    assert cfg.transform == "one-minus-sim"  # choices stored canonical
     assert cfg.output_dir == "from_flag"
 
 
@@ -81,6 +102,30 @@ def test_build_config_validates_ranges(tmp_path):
         args = make_parser().parse_args(["distances", *flags])
         with pytest.raises(ConfigError):
             build_config(args)
+
+
+@pytest.mark.parametrize("command", [
+    ["distances"], ["pipeline"], ["filter"],
+    ["permtest", "missing_a.csv", "missing_b.csv"],
+    ["export-graph", "missing.csv"],
+])
+@pytest.mark.parametrize("key, model", [
+    ("model", None),
+    ("transform", "wmd"),               # ignored by wmd
+    ("ground_metric", "cosine"),        # ignored by cosine
+    ("relatedness_mode", "feature-table"),
+])
+def test_bad_choice_exits_2_before_any_input_is_read(tmp_path, capsys, monkeypatch,
+                                                     command, key, model):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"corpus_dir = {tmp_path / 'missing'}\n"
+                   + (f"model = {model}\n" if model else "")
+                   + f"{key} = bogus\n")
+    assert run([command[0], "--config", cfg, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "'bogus'" in err
+    assert "corpus_dir" not in err and "missing" not in err
 
 
 # -- distances command -------------------------------------------------------------
@@ -262,6 +307,15 @@ def test_export_graph_deterministic(tmp_path):
                     "--out", out]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_export_graph_json_default_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = run(["export-graph", REPO_ROOT / "data" / "expert_distances.csv",
+                "--format", "json"])
+    assert code == 0
+    assert len(json.loads((tmp_path / "graph.json").read_text())["nodes"]) == 7
+    assert not (tmp_path / "graph.dot").exists()
 
 
 def test_export_graph_into_directory(tmp_path):

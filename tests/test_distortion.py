@@ -20,6 +20,7 @@ from cliquedist.errors import (
     InvalidPermutation,
     LabelMismatch,
     MalformedMatrix,
+    NumericError,
     ZeroGraph,
 )
 from conftest import make_matrix, random_symmetric
@@ -261,9 +262,9 @@ def test_report_json_round_trip(expert, wmd_matrix):
 
 
 def test_report_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericError, match="outside"):
         DistortionReport(3.0, 0.1, 0.1, None, 10, BaselineMode.EXACT_ENUMERATION)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericError, match="baseline_std"):
         DistortionReport(0.5, 0.1, -0.1, None, 10, BaselineMode.EXACT_ENUMERATION)
 
 
@@ -321,5 +322,5 @@ def test_random_baseline_two_labels_zero():
 
 
 def test_random_baseline_rejects_bad_trials(expert):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         random_baseline(expert, 0, seed=0)
