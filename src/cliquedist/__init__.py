@@ -2,6 +2,12 @@
 quantify how well two labeled distance cliques match.
 """
 
+import os
+
+# Every BLAS call here is far below OpenBLAS's threading thresholds, so its
+# pool only spin-waits; this must run before the first import loads numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .cli import main
 from .core import (
     ConceptTag,

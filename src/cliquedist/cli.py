@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -396,7 +397,9 @@ def main(argv=None) -> int:
             written = [cmd_filter(cfg)]
         elif args.command == "export-graph":
             out = Path(cfg.output_dir)
-            if args.output_dir is None or out.is_dir():
+            # Path() drops a trailing separator, so test for it on the text.
+            if (args.output_dir is None or out.is_dir()
+                    or cfg.output_dir.endswith(("/", os.sep))):
                 out = out / f"graph.{args.format}"
             written = [cmd_export_graph(args.matrix, args.format, out)]
         else:

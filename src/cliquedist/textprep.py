@@ -152,6 +152,8 @@ def load_corpus(corpus_dir, lexicon: ConceptLexicon | None = None) -> Corpus:
 
 
 def _parse_concepts(raw, where: str, semfilter: SemanticTypeFilter | None):
+    if not isinstance(raw, list):
+        raise AnnotationMismatch(f"{where}: 'concepts' must be a list, got {raw!r}")
     tags = []
     for entry in raw:
         try:
@@ -180,12 +182,15 @@ def load_concept_annotations(path, corpus: Corpus,
             where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
-                doc_id, sent_index = rec["doc_id"], int(rec["sent_index"])
+                doc_id, sent_index = rec["doc_id"], rec["sent_index"]
                 concepts = rec["concepts"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise AnnotationMismatch(f"{where}: malformed annotation line") from exc
-            if doc_id not in extra:
+            if not isinstance(doc_id, str) or doc_id not in extra:
                 raise AnnotationMismatch(f"{where}: unknown doc_id {doc_id!r}")
+            if not isinstance(sent_index, int) or isinstance(sent_index, bool):
+                raise AnnotationMismatch(
+                    f"{where}: sent_index must be an integer, got {sent_index!r}")
             n_sent = sentence_counts[doc_id]
             if not 0 <= sent_index < n_sent:
                 raise AnnotationMismatch(
@@ -221,7 +226,7 @@ def load_summary_statements(path, semfilter: SemanticTypeFilter | None = None
             try:
                 rec = json.loads(line)
                 concepts = rec["concepts"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise AnnotationMismatch(f"{where}: malformed statement line") from exc
             tags = _parse_concepts(concepts, where, semfilter)
             statements.append(frozenset(t.cui for t in tags))

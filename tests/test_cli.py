@@ -325,6 +325,16 @@ def test_export_graph_into_directory(tmp_path):
     assert (tmp_path / "graph.dot").exists()
 
 
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_export_graph_trailing_separator_makes_directory(tmp_path, fmt):
+    out = tmp_path / "newdir"
+    code = run(["export-graph", REPO_ROOT / "data" / "expert_distances.csv",
+                "--format", fmt, "--out", f"{out}/"])
+    assert code == 0
+    assert out.is_dir()
+    assert (out / f"graph.{fmt}").read_text().count("AAFP") > 1
+
+
 # -- filter command --------------------------------------------------------------------
 
 @pytest.fixture()
@@ -395,6 +405,17 @@ def test_filter_deterministic(mini_corpus, tmp_path):
                     "--out", out]) == 0
         payloads.append((out / "manifest.json").read_bytes())
     assert payloads[0] == payloads[1]
+
+
+def test_filter_malformed_annotation_is_data_error(mini_corpus, tmp_path, capsys):
+    (tmp_path / "ann.jsonl").write_text(
+        json.dumps({"doc_id": "A", "sent_index": 0, "concepts": 5}) + "\n")
+    code = run(["filter", "--config", mini_corpus, "--mode", "any-statement",
+                "--out", tmp_path / "out"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ann.jsonl:1" in err
+    assert "Traceback" not in err
 
 
 # -- pipeline command --------------------------------------------------------------------

@@ -201,6 +201,30 @@ def test_load_concept_annotations_malformed_line(tmp_path, data_dir):
         load_concept_annotations(p, corpus)
 
 
+_CONCEPTS = [{"cui": "C1", "semtype": "dsyn"}]
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"doc_id": "AAFP", "sent_index": 0, "concepts": 5}, "'concepts' must be a list"),
+    ({"doc_id": ["AAFP"], "sent_index": 0, "concepts": _CONCEPTS},
+     r"unknown doc_id \['AAFP'\]"),
+    ({"doc_id": "AAFP", "sent_index": 0.7, "concepts": _CONCEPTS},
+     "sent_index must be an integer"),
+    ({"doc_id": "AAFP", "sent_index": True, "concepts": _CONCEPTS},
+     "sent_index must be an integer"),
+    ({"doc_id": "AAFP", "sent_index": "0", "concepts": _CONCEPTS},
+     "sent_index must be an integer"),
+], ids=["concepts-int", "doc-id-list", "sent-index-float", "sent-index-bool",
+        "sent-index-string"])
+def test_load_concept_annotations_rejects_wrong_types(tmp_path, data_dir,
+                                                      record, message):
+    corpus = load_corpus(data_dir / "toy_corpus")
+    p = tmp_path / "ann.jsonl"
+    p.write_text(json.dumps(record) + "\n")
+    with pytest.raises(AnnotationMismatch, match=rf"ann\.jsonl:1: {message}"):
+        load_concept_annotations(p, corpus)
+
+
 def test_default_semantic_types():
     assert {"diap", "neop", "fndg"} <= DEFAULT_SEMANTIC_TYPES
     assert "gngm" not in DEFAULT_SEMANTIC_TYPES
@@ -302,6 +326,17 @@ def test_load_summary_statements(data_dir):
     filtered = load_summary_statements(
         data_dir / "toy_summary.jsonl", DEFAULT_FILTER)
     assert frozenset({"C0205082", "C0041618"}) in filtered  # gngm dropped
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"concepts": 5}', "'concepts' must be a list"),
+    ('{"concepts": [], "n": ' + "1" * 5000 + "}", "malformed statement line"),
+], ids=["concepts-int", "int-too-long"])
+def test_load_summary_statements_rejects_malformed_lines(tmp_path, line, message):
+    p = tmp_path / "summary.jsonl"
+    p.write_text(json.dumps({"concepts": _CONCEPTS}) + "\n" + line + "\n")
+    with pytest.raises(AnnotationMismatch, match=rf"summary\.jsonl:2: {message}"):
+        load_summary_statements(p)
 
 
 # -- keyword filter ------------------------------------------------------------
