@@ -4,8 +4,8 @@ quantify how well two labeled distance cliques match.
 
 import os
 
-# Every BLAS call here is far below OpenBLAS's threading thresholds, so its
-# pool only spin-waits; this must run before the first import loads numpy.
+# A second BLAS thread saved no wall time but spun for CPU, even on the cosine
+# ground-cost GEMM, the one call big enough to thread. Set before numpy loads.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .cli import main

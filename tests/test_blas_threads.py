@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -54,12 +55,40 @@ def test_blas_threads_capped_before_numpy_loads(tmp_path, args, preset, expected
     assert _threads_at_numpy_import(tmp_path, args, preset) == f"SPY {expected!r}"
 
 
-def test_distances_do_not_depend_on_blas_threads(tmp_path):
-    # wmd with the cosine ground metric is the one path that calls GEMM.
+def _toy_inputs(tmp_path):
     toy = (REPO_ROOT / "data" / "toy_config.toml").read_text()
     assert "model = wmd\n" in toy and "ground_metric = euclidean\n" in toy
+    return toy.replace("ground_metric = euclidean", "ground_metric = cosine")
+
+
+def _threaded_gemm_inputs(tmp_path):
+    # The toy product is at most about 20 x 8 x 20, far too small for
+    # OpenBLAS to use a second thread. Here it is 150 x 50 x 150; OpenBLAS
+    # 0.3 runs a 140 x 50 x 127 product on two threads (CPU twice its wall time).
+    rng = np.random.default_rng(0)
+    vocab = ["".join(chr(97 + int(c)) for c in f"{i:03d}") for i in range(300)]
+    with open(tmp_path / "emb.txt", "w") as fh:
+        fh.write(f"{len(vocab)} 50\n")
+        for word, row in zip(vocab, rng.standard_normal((len(vocab), 50))):
+            fh.write(word + " " + " ".join(f"{x:.6f}" for x in row) + "\n")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for doc in "ABC":
+        words = list(np.repeat(rng.choice(vocab, 150, replace=False),
+                               rng.integers(1, 4, 150)))
+        rng.shuffle(words)
+        text = ". ".join(" ".join(words[i:i + 12]) for i in range(0, len(words), 12))
+        (corpus / f"{doc}.txt").write_text(text + ".\n")
+    return (f"corpus_dir = {corpus}\nembeddings_path = {tmp_path / 'emb.txt'}\n"
+            "model = wmd\nground_metric = cosine\n")
+
+
+@pytest.mark.parametrize("inputs", [_toy_inputs, _threaded_gemm_inputs],
+                         ids=["toy", "threaded-gemm"])
+def test_distances_do_not_depend_on_blas_threads(tmp_path, inputs):
+    # wmd with the cosine ground metric is the one path that calls GEMM.
     cfg = tmp_path / "cfg"
-    cfg.write_text(toy.replace("ground_metric = euclidean", "ground_metric = cosine"))
+    cfg.write_text(inputs(tmp_path))
     blobs = []
     for threads in ("1", "2"):
         out = tmp_path / threads
