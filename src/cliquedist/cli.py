@@ -18,13 +18,14 @@ from .core import (
     load_distance_matrix,
     load_embeddings,
     load_feature_table,
+    open_text,
     save_distance_matrix,
     Corpus,
     Document,
     FLOAT_FMT,
 )
 from .distortion import permutation_stats
-from .errors import CliqueDistError, ConfigError, CorpusError, EXIT_OK
+from .errors import CliqueDistError, ConfigError, CorpusError, EXIT_CONFIG, EXIT_OK
 from .metrics import (
     SimilarityTransform,
     cosine_model,
@@ -64,7 +65,6 @@ class PipelineConfig:
     expert_matrix_path: str | None = None
     output_dir: str = "."
     seed: int = 0
-    max_exact_n: int = 9
     mc_samples: int = 10000
     ground_metric: str = "euclidean"
     remove_stopwords: bool = True
@@ -108,7 +108,7 @@ def parse_config_file(path) -> dict:
     if not Path(path).is_file():
         raise ConfigError(f"config file not found: {path}")
     out = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -148,8 +148,6 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         raise ConfigError(f"min_mutual must be >= 1, got {cfg.min_mutual}")
     if cfg.mc_samples < 1:
         raise ConfigError(f"mc_samples must be >= 1, got {cfg.mc_samples}")
-    if cfg.max_exact_n < 0:
-        raise ConfigError(f"max_exact_n must be >= 0, got {cfg.max_exact_n}")
     return cfg
 
 
@@ -171,8 +169,8 @@ def _require_path(cfg_value, key: str):
     return cfg_value
 
 
-def _parse_keyword_filter(rules_text: str) -> list[tuple[str, str]]:
-    rules = []
+def _parse_keyword_filter(rules_text: str) -> dict[str, str]:
+    rules = {}
     for entry in rules_text.split(";"):
         entry = entry.strip()
         if not entry:
@@ -181,7 +179,10 @@ def _parse_keyword_filter(rules_text: str) -> list[tuple[str, str]]:
         if not sep or not doc_id.strip() or not phrase.strip():
             raise ConfigError(
                 f"keyword_filter entry {entry!r} must look like DOC:phrase")
-        rules.append((doc_id.strip(), phrase.strip()))
+        doc_id = doc_id.strip()
+        if doc_id in rules:
+            raise ConfigError(f"keyword_filter names document {doc_id!r} twice")
+        rules[doc_id] = phrase.strip()
     return rules
 
 
@@ -221,7 +222,7 @@ def _load_pipeline_corpus(cfg: PipelineConfig) -> Corpus:
     corpus = _load_annotated_corpus(cfg, semfilter)
 
     if cfg.keyword_filter:
-        rules = dict(_parse_keyword_filter(cfg.keyword_filter))
+        rules = _parse_keyword_filter(cfg.keyword_filter)
         unknown = set(rules) - set(corpus.ids)
         if unknown:
             raise CorpusError(f"keyword_filter names unknown documents: {sorted(unknown)}")
@@ -271,8 +272,7 @@ def cmd_permtest(cfg: PipelineConfig, path_a, path_b) -> Path:
     reference = load_distance_matrix(path_a)
     comparison = load_distance_matrix(path_b)
     report = permutation_stats(
-        reference, comparison,
-        max_exact_n=cfg.max_exact_n, samples=cfg.mc_samples, seed=cfg.seed,
+        reference, comparison, samples=cfg.mc_samples, seed=cfg.seed,
         keep_distortions=cfg.histogram_path is not None)
     out = Path(cfg.output_dir) / "report.json"
     _write_text(out, report.to_json())
@@ -319,9 +319,10 @@ def cmd_export_graph(matrix_path, fmt: str, out_path) -> Path:
              for i in range(m.n) for j in range(i + 1, m.n)]
     out = Path(out_path)
     if fmt == "dot":
+        ids = {lab: '"' + lab.replace('"', '\\"') + '"' for lab in labels}
         lines = ["graph distances {"]
-        lines += [f'  "{lab}";' for lab in labels]
-        lines += [f'  "{a}" -- "{b}" [label="{w:.4f}"];' for a, b, w in edges]
+        lines += [f"  {ids[lab]};" for lab in labels]
+        lines += [f'  {ids[a]} -- {ids[b]} [label="{w:.4f}"];' for a, b, w in edges]
         lines.append("}")
         _write_text(out, "\n".join(lines) + "\n")
     elif fmt == "json":
@@ -357,8 +358,7 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--min-mutual", dest="min_mutual", type=int)
     common.add_argument("--seed", type=int)
     common.add_argument("--samples", dest="mc_samples", metavar="SAMPLES", type=int,
-                        help="Monte Carlo permutation count")
-    common.add_argument("--max-exact-n", dest="max_exact_n", type=int)
+                        help="relabelings sampled for a histogram above 9 labels")
     common.add_argument("--out", dest="output_dir", metavar="OUT",
                         help="output directory (or file for export-graph)")
 
@@ -407,6 +407,9 @@ def main(argv=None) -> int:
     except CliqueDistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(type(exc), "exit_code", 1)
+    except OSError as exc:  # a path to read or write is missing or of the wrong kind
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import (
     AsymmetricMatrix,
     CorpusError,
+    DataError,
     DuplicateLabel,
     LabelMismatch,
     MalformedEmbedding,
@@ -258,9 +260,20 @@ class EmbeddingStore:
 # -- file ingestion -----------------------------------------------------------
 
 
+@contextmanager
+def open_text(path, **kwargs):
+    """open(path) for reading UTF-8 text; bytes that are not UTF-8 raise
+    DataError naming the path, which UnicodeDecodeError does not."""
+    with open(path, encoding="utf-8", **kwargs) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
 def load_feature_table(path) -> FeatureTable:
     """Read a `label,<f1>,...,<fK>` CSV into a FeatureTable (file order kept)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
     if not rows:
         raise MalformedTable(f"{path}: empty file")
@@ -300,7 +313,7 @@ def load_embeddings(path) -> EmbeddingStore:
         words.append(word)
         return 0.0
 
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise MalformedEmbedding(f"{path}: malformed header {header!r}")
@@ -337,7 +350,7 @@ def _first_bad_line(path, dim, detail):
     If no line fails these checks (numpy's parser is stricter than float(),
     e.g. about `1_000`), the message is `detail`, the reader's own complaint.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
@@ -362,7 +375,7 @@ def load_distance_matrix(path) -> LabeledDistanceMatrix:
     Body rows may carry the row label as a leading field (the layout this
     package writes) or consist of bare values.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
     if not rows:
         raise MalformedMatrix(f"{path}: empty file")

@@ -3,7 +3,7 @@ significance statistics and a random-matrix baseline.
 
 Distortion is the L1 distance between the sum-normalized edge structures of
 two complete graphs over the same labels. Its significance is calibrated by
-relabeling one graph under all (or sampled) node permutations.
+relabeling one graph under all node permutations (sampled for large histograms).
 """
 from __future__ import annotations
 
@@ -21,8 +21,16 @@ from .metrics import normalize_matrix
 
 # Relabelings are evaluated in blocks of about this many conjugated cells.
 _BLOCK_CELLS = 65536
-# Largest relabeling histogram exact mode enumerates: 10! values take 29 MB.
-MAX_ENUMERATED = math.factorial(10)
+# Largest relabeling histogram that is enumerated rather than sampled.
+MAX_ENUMERATED = math.factorial(9)
+
+
+def _normalized_pair(m1: LabeledDistanceMatrix, m2: LabeledDistanceMatrix):
+    """Sum-normalized values of m1 and of m2 aligned to m1's label order."""
+    if m1.n < 2:
+        raise MalformedMatrix("distortion needs at least 2 labels")
+    m2 = m2.aligned_to(m1.labels)
+    return normalize_matrix(m1).values, normalize_matrix(m2).values
 
 
 def graph_distortion(m1: LabeledDistanceMatrix, m2: LabeledDistanceMatrix) -> float:
@@ -32,11 +40,7 @@ def graph_distortion(m1: LabeledDistanceMatrix, m2: LabeledDistanceMatrix) -> fl
     aligned by name first, so row order differences between inputs are
     irrelevant.
     """
-    if m1.n < 2:
-        raise MalformedMatrix("distortion needs at least 2 labels")
-    m2 = m2.aligned_to(m1.labels)
-    n1 = normalize_matrix(m1).values
-    n2 = normalize_matrix(m2).values
+    n1, n2 = _normalized_pair(m1, m2)
     return float(np.abs(n1 - n2).sum())
 
 
@@ -82,7 +86,13 @@ class DistortionReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        try:
+            return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        except ValueError:  # n! is longer than sys.get_int_max_str_digits()
+            n = next(k for k in itertools.count(2)
+                     if math.factorial(k) >= self.permutation_count)
+            raise NumericError(f"permutation_count {n}! has too many digits to "
+                               "write as an integer") from None
 
 
 def _relabeling_mean(n1: np.ndarray, n2: np.ndarray) -> float:
@@ -124,46 +134,31 @@ def _relabeled_distortions(n1: np.ndarray, n2: np.ndarray, perms) -> np.ndarray:
 
 
 def permutation_stats(m1: LabeledDistanceMatrix, m2: LabeledDistanceMatrix,
-                      max_exact_n: int = 9, samples: int = 10000, seed: int = 0,
+                      samples: int = 10000, seed: int = 0,
                       keep_distortions: bool = False) -> DistortionReport:
     """Calibrate graph_distortion(m1, m2) against relabelings of m2.
 
-    For n <= max_exact_n the baseline covers all n! permutations:
-    baseline_mean is their exact mean, computed in closed form without
-    enumerating them. Only keep_distortions enumerates them, in
-    lexicographic order (identity first), and it is refused above
-    MAX_ENUMERATED relabelings. Otherwise `samples` seeded random
-    permutations are drawn, and baseline_mean is their sample mean.
-    baseline_std is the population dispersion of the normalized comparison
-    matrix's cells — a relabeling-invariant scale for how much edge
-    structure m2 has to disagree by — and the z-score is
+    The baseline covers all n! permutations: baseline_mean is their exact
+    mean, computed in closed form without enumerating them. Only
+    keep_distortions enumerates them, in lexicographic order (identity
+    first), up to MAX_ENUMERATED of them; above that it keeps `samples`
+    seeded random ones, and baseline_mean is their sample mean (Monte Carlo
+    mode). baseline_std is the population dispersion of the normalized
+    comparison matrix's cells — a relabeling-invariant scale for how much
+    edge structure m2 has to disagree by — and the z-score is
     (baseline_mean - distortion) / baseline_std, or None when that
     dispersion is zero.
     """
-    if m1.n < 2:
-        raise MalformedMatrix("distortion needs at least 2 labels")
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
-    m2 = m2.aligned_to(m1.labels)
-    n1 = normalize_matrix(m1).values
-    n2 = normalize_matrix(m2).values
+    n1, n2 = _normalized_pair(m1, m2)
     n = m1.n
     distortion = float(np.abs(n1 - n2).sum())
     baseline_std = float(n2.std())
 
     values = None
-    if n <= max_exact_n:
-        mode = BaselineMode.EXACT_ENUMERATION
-        count = math.factorial(n)
-        sample_seed = None
-        if keep_distortions:
-            if count > MAX_ENUMERATED:
-                raise ConfigError(
-                    f"a histogram of all {n}! = {count} relabelings is too large "
-                    f"(limit {MAX_ENUMERATED}); lower max_exact_n to sample instead")
-            values = _relabeled_distortions(n1, n2, itertools.permutations(range(n)))
-        mean = _relabeling_mean(n1, n2)
-    else:
+    count = math.factorial(n)
+    if keep_distortions and count > MAX_ENUMERATED:
         mode = BaselineMode.MONTE_CARLO
         count = samples
         sample_seed = seed
@@ -171,9 +166,15 @@ def permutation_stats(m1: LabeledDistanceMatrix, m2: LabeledDistanceMatrix,
         values = _relabeled_distortions(
             n1, n2, (rng.permutation(n) for _ in range(samples)))
         mean = float(values.mean())
+    else:
+        mode = BaselineMode.EXACT_ENUMERATION
+        sample_seed = None
+        if keep_distortions:
+            values = _relabeled_distortions(n1, n2, itertools.permutations(range(n)))
+        mean = _relabeling_mean(n1, n2)
     z_score = (mean - distortion) / baseline_std if baseline_std > 0 else None
     return DistortionReport(distortion, mean, baseline_std, z_score, count,
-                            mode, sample_seed, values if keep_distortions else None)
+                            mode, sample_seed, values)
 
 
 def random_baseline(reference: LabeledDistanceMatrix, trials: int, seed: int

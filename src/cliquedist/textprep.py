@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .core import ConceptTag, Corpus, Document, Sentence
+from .core import ConceptTag, Corpus, Document, Sentence, open_text
 from .errors import AnnotationMismatch, CorpusError, MalformedTable
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -58,7 +58,7 @@ class ConceptLexicon:
 def load_concept_lexicon(path) -> ConceptLexicon:
     """Read a TSV lexicon: `token[ token]<TAB>replacement` per line."""
     mapping = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -146,8 +146,10 @@ def load_corpus(corpus_dir, lexicon: ConceptLexicon | None = None) -> Corpus:
     paths = sorted(Path(corpus_dir).glob("*.txt"))
     if not paths:
         raise CorpusError(f"no *.txt documents in {corpus_dir}")
-    docs = [document_from_text(p.stem, p.read_text(encoding="utf-8"), lexicon)
-            for p in paths]
+    docs = []
+    for p in paths:
+        with open_text(p) as fh:
+            docs.append(document_from_text(p.stem, fh.read(), lexicon))
     return Corpus(tuple(docs))
 
 
@@ -175,7 +177,7 @@ def load_concept_annotations(path, corpus: Corpus,
     """
     extra: dict[str, dict[int, set[ConceptTag]]] = {d.id: {} for d in corpus.documents}
     sentence_counts = {d.id: len(d.sentences) for d in corpus.documents}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -218,7 +220,7 @@ def load_summary_statements(path, semfilter: SemanticTypeFilter | None = None
     Statements whose concepts are all filtered away yield empty sets.
     """
     statements = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

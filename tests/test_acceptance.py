@@ -164,12 +164,13 @@ def test_criterion_6_property_suites(data_dir):
                         assert {s.text for s in related} <= prev_related
                     prev_related = {s.text for s in related}
 
-        # Monte Carlo permutation means converge on the exact mean
-        a = random_symmetric(np.random.default_rng(99), 6)
-        b = random_symmetric(np.random.default_rng(100), 6)
-        exact = permutation_stats(a, b)  # closed form over all 720 relabelings
-        mc = permutation_stats(a, b, max_exact_n=5, samples=50000, seed=0,
-                               keep_distortions=True)
+        # Monte Carlo permutation means converge on the exact mean; a
+        # histogram is sampled only above 9! relabelings, so use 10 labels
+        a = random_symmetric(np.random.default_rng(99), 10)
+        b = random_symmetric(np.random.default_rng(100), 10)
+        exact = permutation_stats(a, b)  # closed form over all 10! relabelings
+        mc = permutation_stats(a, b, samples=50000, seed=0, keep_distortions=True)
+        assert mc.permutation_count == 50000
         se = mc.distortions.std() / math.sqrt(len(mc.distortions))
         assert abs(mc.baseline_mean - exact.baseline_mean) <= 3 * se
 

@@ -1,5 +1,7 @@
 import importlib
 import json
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -97,8 +99,7 @@ def test_flags_override_config_file(tmp_path):
 
 
 def test_build_config_validates_ranges(tmp_path):
-    for flags in (["--min-mutual", "0"], ["--samples", "0"],
-                  ["--max-exact-n", "-1"]):
+    for flags in (["--min-mutual", "0"], ["--samples", "0"]):
         args = make_parser().parse_args(["distances", *flags])
         with pytest.raises(ConfigError):
             build_config(args)
@@ -223,45 +224,145 @@ def test_permtest_zero_matrix_is_numeric_error(tmp_path, capsys):
     assert "zero" in capsys.readouterr().err.lower()
 
 
-def test_permtest_monte_carlo_flags(tmp_path):
-    code = run(["permtest",
-                REPO_ROOT / "data" / "expert_distances.csv",
-                REPO_ROOT / "data" / "wmd_distances.csv",
-                "--out", tmp_path, "--max-exact-n", "5",
-                "--samples", "500", "--seed", "11"])
+def exact_relabeling_mean(reference_path, comparison_path):
+    """Mean distortion over all n! relabelings: sum over reference cells x of
+    mean over comparison cells y of |x - y|, by prefix sums over sorted y."""
+    ref = load_distance_matrix(reference_path)
+    cmp_ = load_distance_matrix(comparison_path).aligned_to(ref.labels)
+    off = ~np.eye(ref.n, dtype=bool)
+    x = (ref.values / ref.values.sum())[off]
+    y = np.sort((cmp_.values / cmp_.values.sum())[off])
+    prefix = np.concatenate([[0.0], np.cumsum(y)])
+    below = np.searchsorted(y, x)
+    total = (x * below - prefix[below]
+             + (prefix[-1] - prefix[below]) - x * (len(y) - below))
+    return float(total.sum() / len(y))
+
+
+def labeled_pair(tmp_path, n, seed):
+    rng = np.random.default_rng(seed)
+    paths = [tmp_path / f"a{n}.csv", tmp_path / f"b{n}.csv"]
+    for path in paths:
+        save_distance_matrix(random_symmetric(rng, n), path)
+    return paths
+
+
+@pytest.fixture
+def twelve_label_pair(tmp_path):
+    return labeled_pair(tmp_path, 12, 12)
+
+
+def test_permtest_monte_carlo_flags(twelve_label_pair, tmp_path):
+    hist = tmp_path / "hist.csv"
+    code = run(["permtest", *twelve_label_pair, "--out", tmp_path,
+                "--histogram", hist, "--samples", "500", "--seed", "11"])
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["mode"] == "monte_carlo"
     assert report["permutation_count"] == 500
     assert report["seed"] == 11
+    lines = hist.read_text().splitlines()
+    assert lines[0] == "index,distortion" and len(lines) == 501
+    values = np.array([float(line.split(",")[1]) for line in lines[1:]])
+    assert values.mean() == pytest.approx(report["baseline_mean"], rel=1e-12)
+    se = values.std() / np.sqrt(len(values))
+    exact = exact_relabeling_mean(*twelve_label_pair)
+    assert abs(report["baseline_mean"] - exact) <= 4 * se
 
 
-@pytest.fixture
-def twelve_label_pair(tmp_path):
-    rng = np.random.default_rng(12)
-    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-    for path in paths:
-        save_distance_matrix(random_symmetric(rng, 12), path)
-    return paths
+def test_permtest_exact_mean_needs_no_enumeration(tmp_path):
+    for n in (12, 60):
+        pair = labeled_pair(tmp_path, n, n)
+        out = tmp_path / f"out{n}"
+        with Budget(1.0):
+            code = run(["permtest", *pair, "--out", out])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["mode"] == "exact_enumeration"
+        assert report["permutation_count"] == math.factorial(n)
+        assert report["seed"] is None
+        assert report["baseline_mean"] == pytest.approx(
+            exact_relabeling_mean(*pair), abs=1e-12)
 
 
-def test_permtest_exact_mean_needs_no_enumeration(twelve_label_pair, tmp_path):
-    with Budget(1.0):
-        code = run(["permtest", *twelve_label_pair, "--max-exact-n", "12",
-                    "--out", tmp_path])
-    assert code == 0
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["mode"] == "exact_enumeration"
-    assert report["permutation_count"] == 479001600
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no integer string limit")
+def test_permtest_count_too_long_for_json_is_numeric_error(tmp_path, capsys):
+    pair = labeled_pair(tmp_path, 311, 0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # 311! has 642 digits
+    try:
+        code = run(["permtest", *pair, "--out", tmp_path])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 4
+    assert "311!" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
-def test_permtest_histogram_too_large_is_config_error(twelve_label_pair, tmp_path, capsys):
-    hist = tmp_path / "hist.csv"
-    code = run(["permtest", *twelve_label_pair, "--max-exact-n", "12",
-                "--histogram", hist, "--out", tmp_path])
+def test_max_exact_n_flag_is_gone(twelve_label_pair, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["permtest", *twelve_label_pair, "--max-exact-n", "12", "--out", tmp_path])
+    assert exc.value.code == 2
+
+
+def test_max_exact_n_config_key_is_gone(twelve_label_pair, tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("max_exact_n = 12\n")
+    assert run(["permtest", *twelve_label_pair, "--config", cfg, "--out", tmp_path]) == 2
+    assert "unknown config key 'max_exact_n'" in capsys.readouterr().err
+
+
+# -- paths that cannot be read or written ----------------------------------------
+
+def test_permtest_missing_matrix_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    code = run(["permtest", missing, REPO_ROOT / "data" / "wmd_distances.csv",
+                "--out", tmp_path])
     assert code == 2
-    assert "relabelings" in capsys.readouterr().err
-    assert not hist.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_export_graph_missing_matrix_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    assert run(["export-graph", missing, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_embeddings_path_directory_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    config = tmp_path / "cfg"
+    config.write_text((REPO_ROOT / "data" / "toy_config.toml").read_text()
+                      + "embeddings_path = data\n")
+    assert run(["distances", "--config", config, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'data'" in err
+
+
+def test_out_naming_a_file_is_config_error(tmp_path, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("x")
+    code = run(["permtest", REPO_ROOT / "data" / "expert_distances.csv",
+                REPO_ROOT / "data" / "wmd_distances.csv", "--out", blocker])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err
+
+
+def test_undecodable_corpus_file_is_data_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "A.txt").write_text("Screen every year.\n", encoding="utf-8")
+    bad = corpus / "B.txt"
+    bad.write_bytes(b"Screen every other year.\xff\n")
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"corpus_dir = {corpus}\n"
+                   f"embeddings_path = {REPO_ROOT / 'data' / 'toy_embeddings.txt'}\n")
+    assert run(["distances", "--config", cfg, "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and "UTF-8" in err
 
 
 # -- export-graph command ---------------------------------------------------------------
@@ -335,7 +436,17 @@ def test_export_graph_trailing_separator_makes_directory(tmp_path, fmt):
     assert (out / f"graph.{fmt}").read_text().count("AAFP") > 1
 
 
+def test_export_graph_escapes_quotes_in_dot(tmp_path):
+    m = tmp_path / "m.csv"
+    m.write_text('"A""B",C\n"A""B",0,2\nC,2,0\n')
+    out = tmp_path / "g.dot"
+    assert run(["export-graph", m, "--out", out]) == 0
+    assert out.read_text() == ('graph distances {\n  "A\\"B";\n  "C";\n'
+                               '  "A\\"B" -- "C" [label="1.0000"];\n}\n')
+
+
 # -- filter command --------------------------------------------------------------------
+
 
 @pytest.fixture()
 def mini_corpus(tmp_path):
@@ -456,3 +567,14 @@ def test_pipeline_keyword_filter_keeps_annotations(tmp_path, monkeypatch):
     (kept,) = _load_pipeline_corpus(build_config(args)).document("AAFP").sentences
     assert kept.text == "Dense tissue may call for additional imaging."
     assert "C0205082" in kept.cuis()
+
+
+def test_pipeline_keyword_filter_repeated_document_is_config_error(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(REPO_ROOT)
+    config = tmp_path / "cfg"
+    config.write_text((REPO_ROOT / "data" / "toy_config.toml").read_text()
+                      + "keyword_filter = AAFP:dense tissue;ACS:annual;AAFP:mammograph\n")
+    assert run(["pipeline", "--config", config, "--out", tmp_path / "run"]) == 2
+    assert "'AAFP'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

@@ -15,6 +15,7 @@ from cliquedist import (
     permute_labels,
     random_baseline,
 )
+from cliquedist.distortion import MAX_ENUMERATED
 from cliquedist.errors import (
     ConfigError,
     InvalidPermutation,
@@ -210,26 +211,41 @@ def test_permutation_stats_self_comparison(expert):
     assert report.baseline_mean > 0.0
 
 
-def test_permutation_stats_monte_carlo_mode(expert, wmd_matrix):
-    r = permutation_stats(expert, wmd_matrix, max_exact_n=5, samples=2000, seed=3)
+def test_permutation_stats_monte_carlo_mode():
+    rng = np.random.default_rng(21)
+    a, b = random_symmetric(rng, 10), random_symmetric(rng, 10)
+    r = permutation_stats(a, b, samples=2000, seed=3, keep_distortions=True)
     assert r.mode is BaselineMode.MONTE_CARLO
     assert r.permutation_count == 2000
     assert r.sample_seed == 3
-    again = permutation_stats(expert, wmd_matrix, max_exact_n=5, samples=2000,
-                              seed=3)
+    # the reported mean is the mean of the histogram it comes with
+    assert r.baseline_mean == float(r.distortions.mean())
+    again = permutation_stats(a, b, samples=2000, seed=3, keep_distortions=True)
     assert r.baseline_mean == again.baseline_mean  # bit-equal for the same seed
-    other = permutation_stats(expert, wmd_matrix, max_exact_n=5, samples=2000,
-                              seed=4)
+    other = permutation_stats(a, b, samples=2000, seed=4, keep_distortions=True)
     assert r.baseline_mean != other.baseline_mean
-    # sampled mean lands near the exact enumeration mean
-    exact = permutation_stats(expert, wmd_matrix)
-    assert r.baseline_mean == pytest.approx(exact.baseline_mean, abs=0.005)
+    # sampled mean lands near the exact mean, which needs no histogram
+    exact = permutation_stats(a, b, samples=2000, seed=3)
+    assert exact.mode is BaselineMode.EXACT_ENUMERATION
+    assert exact.permutation_count == math.factorial(10)
+    assert exact.sample_seed is None and exact.distortions is None
+    se = r.distortions.std() / math.sqrt(2000)
+    assert abs(r.baseline_mean - exact.baseline_mean) <= 4 * se
+
+
+def test_permutation_stats_enumerates_histograms_up_to_nine_labels():
+    rng = np.random.default_rng(22)
+    a, b = random_symmetric(rng, 9), random_symmetric(rng, 9)
+    report = permutation_stats(a, b, keep_distortions=True)
+    assert report.mode is BaselineMode.EXACT_ENUMERATION
+    assert len(report.distortions) == math.factorial(9) == MAX_ENUMERATED
+    assert report.baseline_mean == pytest.approx(report.distortions.mean(), abs=1e-12)
 
 
 @pytest.mark.parametrize("samples", [0, -1])
 def test_permutation_stats_rejects_too_few_samples(expert, wmd_matrix, samples):
     with pytest.raises(ConfigError, match="samples must be >= 1"):
-        permutation_stats(expert, wmd_matrix, max_exact_n=3, samples=samples)
+        permutation_stats(expert, wmd_matrix, samples=samples)
 
 
 def test_permutation_stats_uniform_graph_unmoved_by_relabeling():
