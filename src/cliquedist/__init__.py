@@ -27,7 +27,6 @@ from .distortion import (
     DistortionReport,
     graph_distortion,
     permutation_stats,
-    permute_labels,
     random_baseline,
 )
 from .errors import SolverError
@@ -61,7 +60,6 @@ from .wmd import (
     WmdConfig,
     ground_costs,
     nbow,
-    rwmd_lower_bound,
     solve_ot,
     wmd,
     wmd_model,
@@ -79,8 +77,7 @@ __all__ = [
     "load_concept_annotations", "load_concept_lexicon", "load_corpus",
     "load_distance_matrix", "load_embeddings", "load_feature_table",
     "load_summary_statements", "main", "merge_concepts", "nbow", "normalize_matrix",
-    "pairwise_distances", "permutation_stats", "permute_labels",
-    "random_baseline", "rwmd_lower_bound", "save_distance_matrix",
-    "sim_to_distance", "solve_ot", "split_related", "split_sentences",
-    "tokenize", "wmd", "wmd_model",
+    "pairwise_distances", "permutation_stats", "random_baseline",
+    "save_distance_matrix", "sim_to_distance", "solve_ot", "split_related",
+    "split_sentences", "tokenize", "wmd", "wmd_model",
 ]

@@ -311,7 +311,8 @@ def cmd_filter(cfg: PipelineConfig) -> Path:
 
 
 def cmd_export_graph(matrix_path, fmt: str, out_path) -> Path:
-    """Complete graph with unordered-edge weights (2x the normalized cells)."""
+    """Complete graph with unordered-edge weights (2x the normalized cells),
+    written as DOT when fmt is "dot" and as JSON when it is "json"."""
     m = load_distance_matrix(matrix_path)
     norm = normalize_matrix(m).values
     labels = m.labels
@@ -319,21 +320,20 @@ def cmd_export_graph(matrix_path, fmt: str, out_path) -> Path:
              for i in range(m.n) for j in range(i + 1, m.n)]
     out = Path(out_path)
     if fmt == "dot":
-        ids = {lab: '"' + lab.replace('"', '\\"') + '"' for lab in labels}
+        ids = {lab: '"' + lab.replace("\\", "\\\\").replace('"', '\\"') + '"'
+               for lab in labels}
         lines = ["graph distances {"]
         lines += [f"  {ids[lab]};" for lab in labels]
         lines += [f'  {ids[a]} -- {ids[b]} [label="{w:.4f}"];' for a, b, w in edges]
         lines.append("}")
         _write_text(out, "\n".join(lines) + "\n")
-    elif fmt == "json":
+    else:
         payload = {
             "nodes": list(labels),
             "edges": [{"source": a, "target": b, "weight": round(w, 4)}
                       for a, b, w in edges],
         }
         _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        raise ConfigError(f"unknown graph format {fmt!r}; choose dot or json")
     return out
 
 

@@ -206,34 +206,22 @@ def per_document(fn):
 class EmbeddingStore:
     """word -> dense vector mapping with a fixed dimension.
 
-    The vectors are the rows of one read-only (V, dimension) float64 matrix,
-    found through a word -> row index; `vector` and `get` return read-only
-    views of those rows.
+    words[i] names row i of the (V, dimension) float64 matrix `rows`, and a
+    repeated word keeps its last row. The store keeps a read-only view of
+    `rows`, not a copy; the dimension is its column count.
     """
 
-    def __init__(self, dimension: int, vectors: dict[str, np.ndarray]):
-        if dimension < 1:
-            raise MalformedEmbedding(f"dimension must be positive, got {dimension}")
-        rows = []
-        for word, vec in vectors.items():
-            v = np.asarray(vec, dtype=float)
-            if v.shape != (dimension,):
-                raise MalformedEmbedding(
-                    f"vector for {word!r} has length {v.shape}, expected {dimension}")
-            if not np.isfinite(v).all():
-                raise MalformedEmbedding(f"vector for {word!r} is not finite")
-            rows.append(v)
-        self._attach(list(vectors), np.array(rows).reshape(len(rows), int(dimension)))
-
-    @classmethod
-    def _from_rows(cls, words: list[str], rows: np.ndarray) -> "EmbeddingStore":
-        """Store over finite float64 rows that the caller has checked."""
-        store = cls.__new__(cls)
-        store._attach(words, rows)
-        return store
-
-    def _attach(self, words, rows):
-        # words[i] names rows[i]; a repeated word keeps its last row.
+    def __init__(self, words, rows):
+        words = list(words)
+        rows = np.asarray(rows, dtype=float).view()
+        if rows.ndim != 2 or rows.shape[0] != len(words) or rows.shape[1] < 1:
+            raise MalformedEmbedding(
+                f"expected a ({len(words)}, dimension) matrix for {len(words)} "
+                f"words, got shape {rows.shape}")
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            raise MalformedEmbedding(
+                f"vector for {words[int(finite.argmin())]!r} is not finite")
         rows.setflags(write=False)
         self.dimension = rows.shape[1]
         self._rows = rows
@@ -244,13 +232,6 @@ class EmbeddingStore:
 
     def __len__(self) -> int:
         return len(self._index)
-
-    def vector(self, word: str) -> np.ndarray:
-        return self._rows[self._index[word]]
-
-    def get(self, word: str):
-        i = self._index.get(word)
-        return None if i is None else self._rows[i]
 
     def rows(self, words) -> np.ndarray:
         """(len(words), dimension) block of the words' vectors, in order."""
@@ -332,10 +313,12 @@ def load_embeddings(path) -> EmbeddingStore:
             raise MalformedEmbedding(_first_bad_line(path, dim, str(exc))) from None
     if not words:
         body = np.empty((0, dim + 1))
-    if body.shape[1] != dim + 1 or not np.isfinite(body).all():
-        raise MalformedEmbedding(
-            _first_bad_line(path, dim, f"expected {dim} finite components per line"))
-    store = EmbeddingStore._from_rows(words, body[:, 1:])
+    try:
+        if body.shape[1] != dim + 1:  # every line has the same wrong count
+            raise MalformedEmbedding(f"expected {dim} components per line")
+        store = EmbeddingStore(words, body[:, 1:])
+    except MalformedEmbedding as exc:
+        raise MalformedEmbedding(_first_bad_line(path, dim, str(exc))) from None
     if len(store) != count:
         warnings.warn(
             f"{path}: header declares {count} vectors, file has {len(store)}",

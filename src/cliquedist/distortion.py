@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .core import LabeledDistanceMatrix
-from .errors import ConfigError, InvalidPermutation, MalformedMatrix, NumericError
+from .errors import ConfigError, MalformedMatrix, NumericError
 from .metrics import normalize_matrix
 
 # Relabelings are evaluated in blocks of about this many conjugated cells.
@@ -42,14 +42,6 @@ def graph_distortion(m1: LabeledDistanceMatrix, m2: LabeledDistanceMatrix) -> fl
     """
     n1, n2 = _normalized_pair(m1, m2)
     return float(np.abs(n1 - n2).sum())
-
-
-def permute_labels(m: LabeledDistanceMatrix, perm) -> LabeledDistanceMatrix:
-    """Relabel nodes: label i takes over the edges of label perm[i]."""
-    perm = np.asarray(perm, dtype=int)
-    if perm.shape != (m.n,) or sorted(perm.tolist()) != list(range(m.n)):
-        raise InvalidPermutation(f"not a permutation of 0..{m.n - 1}: {perm.tolist()}")
-    return LabeledDistanceMatrix(m.labels, m.values[np.ix_(perm, perm)])
 
 
 class BaselineMode(Enum):

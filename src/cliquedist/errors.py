@@ -72,10 +72,6 @@ class LabelMismatch(DataError):
     """Two matrices do not share the same label set."""
 
 
-class InvalidPermutation(DataError):
-    """Index sequence is not a bijection on 0..n-1."""
-
-
 class CorpusError(DataError):
     """Corpus violates structural requirements (empty, too small, ...)."""
 

@@ -51,9 +51,6 @@ class ConceptLexicon:
             if not repl:
                 raise ValueError(f"lexicon key {key!r} maps to empty replacement")
 
-    def __len__(self):
-        return len(self.mapping)
-
 
 def load_concept_lexicon(path) -> ConceptLexicon:
     """Read a TSV lexicon: `token[ token]<TAB>replacement` per line."""

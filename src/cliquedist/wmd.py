@@ -41,7 +41,6 @@ GROUND_METRICS = ("euclidean", "cosine")
 @dataclass(frozen=True)
 class WmdConfig:
     remove_stopwords: bool = True
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS
     ground_metric: str = "euclidean"  # one of GROUND_METRICS
 
     def __post_init__(self):
@@ -94,12 +93,12 @@ def nbow(doc: Document, store: EmbeddingStore,
          config: WmdConfig = DEFAULT_WMD_CONFIG) -> NBow:
     """Occurrence-normalized bag of in-vocabulary words.
 
-    Stopwords (if configured) and out-of-vocabulary tokens are dropped
-    before counting; support order is first occurrence.
+    DEFAULT_STOPWORDS (if config.remove_stopwords) and out-of-vocabulary
+    tokens are dropped before counting; support order is first occurrence.
     """
     tokens = doc.tokens()
     if config.remove_stopwords:
-        tokens = [t for t in tokens if t not in config.stopwords]
+        tokens = [t for t in tokens if t not in DEFAULT_STOPWORDS]
     tokens = [t for t in tokens if t in store]
     if not tokens:
         raise EmptyVectorError(f"document {doc.id!r} has no in-vocabulary tokens")
@@ -286,17 +285,6 @@ def wmd(doc_a: Document, doc_b: Document, store: EmbeddingStore,
     na = nbow(doc_a, store, config)
     nb = nbow(doc_b, store, config)
     return solve_ot(na, nb, ground_costs(na, nb, store, config)).cost
-
-
-def rwmd_lower_bound(doc_a: Document, doc_b: Document, store: EmbeddingStore,
-                     config: WmdConfig = DEFAULT_WMD_CONFIG) -> float:
-    """Relaxed WMD: max of the two one-sided nearest-counterpart bounds."""
-    na = nbow(doc_a, store, config)
-    nb = nbow(doc_b, store, config)
-    costs = ground_costs(na, nb, store, config)
-    one_sided_a = float(na.weights @ costs.min(axis=1))
-    one_sided_b = float(nb.weights @ costs.min(axis=0))
-    return max(one_sided_a, one_sided_b)
 
 
 def wmd_model(store: EmbeddingStore, config: WmdConfig = DEFAULT_WMD_CONFIG):

@@ -124,8 +124,7 @@ def test_criterion_6_property_suites(data_dir):
 
         # WMD is a metric over nBOW documents (500 random triples)
         vocab = [f"word{i}" for i in range(8)]
-        store = EmbeddingStore(4, {
-            w: rng.normal(size=4) for w in vocab})
+        store = EmbeddingStore(vocab, rng.normal(size=(len(vocab), 4)))
         cfg = WmdConfig(remove_stopwords=False)
         for t in range(500):
             d1 = _random_word_doc(rng, "a", vocab)

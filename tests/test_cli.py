@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -443,6 +444,24 @@ def test_export_graph_escapes_quotes_in_dot(tmp_path):
     assert run(["export-graph", m, "--out", out]) == 0
     assert out.read_text() == ('graph distances {\n  "A\\"B";\n  "C";\n'
                                '  "A\\"B" -- "C" [label="1.0000"];\n}\n')
+
+
+def test_export_graph_dot_ids_read_back_to_labels(tmp_path):
+    labels = ["A\\", 'B\\"C']
+    m = tmp_path / "m.csv"
+    save_distance_matrix(make_matrix([[0, 2], [2, 0]], labels=labels), m)
+    out = tmp_path / "g.dot"
+    assert run(["export-graph", m, "--out", out]) == 0
+    quoted = r'"((?:[^"\\]|\\.)*)"'  # a DOT id; \\ and \" are escapes
+
+    def read_back(ids):
+        return [re.sub(r"\\(.)", r"\1", i) for i in ids]
+
+    text = out.read_text()
+    assert read_back(re.findall(rf"^  {quoted};$", text, re.M)) == labels
+    edge = re.fullmatch(rf"  {quoted} -- {quoted} \[label=\"1.0000\"\];",
+                        text.splitlines()[3])
+    assert read_back(edge.groups()) == labels
 
 
 # -- filter command --------------------------------------------------------------------

@@ -90,8 +90,7 @@ def test_load_embeddings_basic(tmp_path):
     p.write_text("2 2\na 1 0\nb 0 1\n")
     store = load_embeddings(p)
     assert store.dimension == 2
-    assert np.array_equal(store.vector("a"), [1.0, 0.0])
-    assert np.array_equal(store.vector("b"), [0.0, 1.0])
+    assert np.array_equal(store.rows(["a", "b"]), [[1.0, 0.0], [0.0, 1.0]])
     assert "c" not in store
 
 
@@ -151,8 +150,7 @@ def test_load_embeddings_skips_blank_lines(tmp_path):
     p.write_text("2 2\n\na 1 0\n   \n\nb 0 1\n\n")
     store = load_embeddings(p)
     assert len(store) == 2
-    assert np.array_equal(store.vector("a"), [1.0, 0.0])
-    assert np.array_equal(store.vector("b"), [0.0, 1.0])
+    assert np.array_equal(store.rows(["a", "b"]), [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_load_embeddings_duplicate_word_keeps_last_line(tmp_path):
@@ -161,8 +159,7 @@ def test_load_embeddings_duplicate_word_keeps_last_line(tmp_path):
     with pytest.warns(UserWarning, match="declares 3 vectors, file has 2"):
         store = load_embeddings(p)
     assert len(store) == 2
-    assert np.array_equal(store.vector("a"), [2.0, 3.0])
-    assert np.array_equal(store.get("b"), [0.0, 1.0])
+    assert np.array_equal(store.rows(["a", "b"]), [[2.0, 3.0], [0.0, 1.0]])
 
 
 def test_load_embeddings_header_only(tmp_path):
@@ -188,30 +185,35 @@ def test_load_embeddings_matches_float_bit_for_bit(tmp_path_factory, rows, four_
     store = load_embeddings(p)
     for w, comps in zip(words, text):
         expected = np.array([float(c) for c in comps])
-        assert store.vector(w).tobytes() == expected.tobytes()
+        assert store.rows([w])[0].tobytes() == expected.tobytes()
 
 
 def test_embedding_store_rows_are_read_only(tmp_path):
     p = tmp_path / "e.txt"
     p.write_text("2 2\na 1 0\nb 0 1\n")
-    built = EmbeddingStore(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
+    given = np.array([[1.0, 0.0], [0.0, 1.0]])
+    built = EmbeddingStore(["a", "b"], given)
     for store in (load_embeddings(p), built):
+        assert store.dimension == 2
         assert np.array_equal(store.rows(["b", "a", "b"]),
                               [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        assert store.get("c") is None
-        for word in ("a", "b"):
-            with pytest.raises(ValueError):
-                store.vector(word)[0] = 9.0
+        assert "c" not in store
+        with pytest.raises(ValueError):
+            store._rows[0, 0] = 9.0
+    given[0, 0] = 9.0  # the caller's array stays writable
 
 
 def test_embedding_store_rejects_nonfinite():
     with pytest.raises(MalformedEmbedding, match="'b' is not finite"):
-        EmbeddingStore(2, {"a": np.zeros(2), "b": np.array([0.0, np.nan])})
+        EmbeddingStore(["a", "b", "c"], [[0.0, 0.0], [0.0, np.nan], [np.inf, 0.0]])
 
 
 def test_embedding_store_rejects_wrong_length():
-    with pytest.raises(MalformedEmbedding):
-        EmbeddingStore(3, {"a": np.array([1.0, 2.0])})
+    for words, rows in ((["a", "b"], [[1.0, 2.0]]),      # fewer rows than words
+                        (["a"], [1.0, 2.0]),            # not a matrix
+                        (["a"], np.empty((1, 0)))):     # zero dimension
+        with pytest.raises(MalformedEmbedding, match="got shape"):
+            EmbeddingStore(words, rows)
 
 
 # -- distance matrices ---------------------------------------------------------

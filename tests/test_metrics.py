@@ -101,11 +101,7 @@ def test_normalize_matrix_zero_graph():
 
 # -- pooled document vectors -------------------------------------------------------
 
-STORE = EmbeddingStore(2, {
-    "a": np.array([1.0, 0.0]),
-    "b": np.array([0.0, 1.0]),
-    "c": np.array([1.0, 1.0]),
-})
+STORE = EmbeddingStore(["a", "b", "c"], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 
 def test_document_vector_mean_pooling():
