@@ -10,7 +10,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .cli import main
 from .core import (
-    ConceptTag,
     Corpus,
     Document,
     EmbeddingStore,
@@ -42,9 +41,7 @@ from .metrics import (
 )
 from .textprep import (
     ConceptLexicon,
-    RelatednessConfig,
     RelatednessMode,
-    SemanticTypeFilter,
     load_concept_annotations,
     load_concept_lexicon,
     load_corpus,
@@ -57,7 +54,6 @@ from .textprep import (
 from .wmd import (
     NBow,
     TransportPlan,
-    WmdConfig,
     ground_costs,
     nbow,
     solve_ot,
@@ -68,10 +64,10 @@ from .wmd import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineMode", "ConceptLexicon", "ConceptTag", "Corpus", "DistortionReport",
-    "Document", "EmbeddingStore", "FeatureTable", "LabeledDistanceMatrix", "NBow",
-    "RelatednessConfig", "RelatednessMode", "SemanticTypeFilter",
-    "SimilarityTransform", "Sentence", "SolverError", "TransportPlan", "WmdConfig",
+    "BaselineMode", "ConceptLexicon", "Corpus", "DistortionReport", "Document",
+    "EmbeddingStore", "FeatureTable", "LabeledDistanceMatrix", "NBow",
+    "RelatednessMode", "SimilarityTransform", "Sentence", "SolverError",
+    "TransportPlan",
     "cosine_model", "cosine_similarity", "document_vector",
     "feature_difference_counts", "graph_distortion", "ground_costs",
     "load_concept_annotations", "load_concept_lexicon", "load_corpus",

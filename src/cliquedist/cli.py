@@ -34,10 +34,8 @@ from .metrics import (
     pairwise_distances,
 )
 from .textprep import (
-    DEFAULT_FILTER,
-    RelatednessConfig,
+    DEFAULT_SEMANTIC_TYPES,
     RelatednessMode,
-    SemanticTypeFilter,
     filter_sentences_by_keyword,
     load_concept_annotations,
     load_concept_lexicon,
@@ -45,7 +43,7 @@ from .textprep import (
     load_summary_statements,
     split_related,
 )
-from .wmd import GROUND_METRICS, WmdConfig, wmd_model
+from .wmd import GROUND_METRICS, wmd_model
 
 MODELS = ("feature-table", "cosine", "wmd")
 
@@ -148,17 +146,19 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         raise ConfigError(f"min_mutual must be >= 1, got {cfg.min_mutual}")
     if cfg.mc_samples < 1:
         raise ConfigError(f"mc_samples must be >= 1, got {cfg.mc_samples}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     return cfg
 
 
-def _parse_semfilter(cfg) -> SemanticTypeFilter:
+def _parse_semfilter(cfg) -> frozenset[str]:
+    """The semantic-type codes to keep; the built-in list when unset."""
     if cfg.semantic_types is None:
-        return DEFAULT_FILTER
-    codes = [c.strip() for c in cfg.semantic_types.split(",") if c.strip()]
-    try:
-        return SemanticTypeFilter(frozenset(codes))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        return DEFAULT_SEMANTIC_TYPES
+    codes = frozenset(c.strip() for c in cfg.semantic_types.split(",") if c.strip())
+    if not codes:
+        raise ConfigError("config key 'semantic_types' must name at least one code")
+    return codes
 
 
 def _require_path(cfg_value, key: str):
@@ -186,7 +186,8 @@ def _parse_keyword_filter(rules_text: str) -> dict[str, str]:
     return rules
 
 
-def _load_annotated_corpus(cfg: PipelineConfig, semfilter: SemanticTypeFilter) -> Corpus:
+def _load_annotated_corpus(cfg: PipelineConfig, semantic_types: frozenset[str]
+                           ) -> Corpus:
     """Corpus with lexicon merging and, when configured, concept annotations.
 
     Annotations address sentences by their index in the unfiltered document,
@@ -199,27 +200,28 @@ def _load_annotated_corpus(cfg: PipelineConfig, semfilter: SemanticTypeFilter) -
     corpus = load_corpus(cfg.corpus_dir, lexicon)
     if cfg.annotations_path is not None:
         corpus = load_concept_annotations(
-            _require_path(cfg.annotations_path, "annotations_path"), corpus, semfilter)
+            _require_path(cfg.annotations_path, "annotations_path"), corpus,
+            semantic_types)
     return corpus
 
 
 def _related_splits(cfg: PipelineConfig, corpus: Corpus,
-                    semfilter: SemanticTypeFilter) -> list:
+                    semantic_types: frozenset[str]) -> list:
     """(document, related, unrelated) per document, split against the
     summary statements by the configured relatedness mode."""
     _require_path(cfg.annotations_path, "annotations_path")
     statements = load_summary_statements(
-        _require_path(cfg.summary_path, "summary_path"), semfilter)
-    relatedness = RelatednessConfig(RelatednessMode(cfg.relatedness_mode), cfg.min_mutual)
-    return [(doc, *split_related(doc, statements, relatedness))
+        _require_path(cfg.summary_path, "summary_path"), semantic_types)
+    mode = RelatednessMode(cfg.relatedness_mode)
+    return [(doc, *split_related(doc, statements, mode, cfg.min_mutual))
             for doc in corpus.documents]
 
 
 def _load_pipeline_corpus(cfg: PipelineConfig) -> Corpus:
     """Corpus with lexicon merging, annotations, keyword filtering, and the
     optional related-sentences restriction applied."""
-    semfilter = _parse_semfilter(cfg)
-    corpus = _load_annotated_corpus(cfg, semfilter)
+    semantic_types = _parse_semfilter(cfg)
+    corpus = _load_annotated_corpus(cfg, semantic_types)
 
     if cfg.keyword_filter:
         rules = _parse_keyword_filter(cfg.keyword_filter)
@@ -232,7 +234,7 @@ def _load_pipeline_corpus(cfg: PipelineConfig) -> Corpus:
 
     if cfg.relatedness_mode is not None:
         docs = []
-        for doc, related, _ in _related_splits(cfg, corpus, semfilter):
+        for doc, related, _ in _related_splits(cfg, corpus, semantic_types):
             if not related:
                 raise CorpusError(
                     f"document {doc.id!r} has no sentences related to the summary")
@@ -250,8 +252,7 @@ def _build_model_matrix(cfg: PipelineConfig) -> LabeledDistanceMatrix:
     if cfg.model == "cosine":
         fn = cosine_model(store, SimilarityTransform(cfg.transform), cfg.unique_pooling)
     else:
-        fn = wmd_model(store, WmdConfig(remove_stopwords=cfg.remove_stopwords,
-                                        ground_metric=cfg.ground_metric))
+        fn = wmd_model(store, cfg.remove_stopwords, cfg.ground_metric)
     return pairwise_distances(corpus, fn)
 
 
@@ -286,12 +287,12 @@ def cmd_permtest(cfg: PipelineConfig, path_a, path_b) -> Path:
 def cmd_filter(cfg: PipelineConfig) -> Path:
     if cfg.relatedness_mode is None:
         raise ConfigError("filter requires relatedness_mode (--mode)")
-    semfilter = _parse_semfilter(cfg)
-    corpus = _load_annotated_corpus(cfg, semfilter)
+    semantic_types = _parse_semfilter(cfg)
+    corpus = _load_annotated_corpus(cfg, semantic_types)
 
     out_dir = Path(cfg.output_dir)
     manifest = {}
-    for doc, related, unrelated in _related_splits(cfg, corpus, semfilter):
+    for doc, related, unrelated in _related_splits(cfg, corpus, semantic_types):
         if not related:
             print(f"warning: document {doc.id!r} has no related sentences",
                   file=sys.stderr)

@@ -123,29 +123,14 @@ class FeatureTable:
 
 
 @dataclass(frozen=True)
-class ConceptTag:
-    """A concept identifier with its semantic-type code."""
-
-    cui: str
-    semtype: str
-
-    def __post_init__(self):
-        if not self.cui:
-            raise ValueError("cui must be nonempty")
-
-
-@dataclass(frozen=True)
 class Sentence:
     text: str
     tokens: tuple[str, ...]
-    concepts: frozenset[ConceptTag] = frozenset()
+    concepts: frozenset[str] = frozenset()  # CUIs kept by the semantic-type filter
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
         object.__setattr__(self, "concepts", frozenset(self.concepts))
-
-    def cuis(self) -> frozenset[str]:
-        return frozenset(t.cui for t in self.concepts)
 
 
 @dataclass(frozen=True)
@@ -243,9 +228,10 @@ class EmbeddingStore:
 
 @contextmanager
 def open_text(path, **kwargs):
-    """open(path) for reading UTF-8 text; bytes that are not UTF-8 raise
+    """open(path) for reading UTF-8 text; one leading byte-order mark, as
+    spreadsheet tools write, is skipped. Bytes that are not UTF-8 raise
     DataError naming the path, which UnicodeDecodeError does not."""
-    with open(path, encoding="utf-8", **kwargs) as fh:
+    with open(path, encoding="utf-8-sig", **kwargs) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

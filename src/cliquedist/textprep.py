@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .core import ConceptTag, Corpus, Document, Sentence, open_text
+from .core import Corpus, Document, Sentence, open_text
 from .errors import AnnotationMismatch, CorpusError, MalformedTable
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -91,35 +91,9 @@ def merge_concepts(tokens, lexicon: ConceptLexicon) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class SemanticTypeFilter:
-    allowed: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "allowed", frozenset(self.allowed))
-        if not self.allowed:
-            raise ValueError("semantic-type filter must allow at least one code")
-
-    def keep(self, tag: ConceptTag) -> bool:
-        return tag.semtype in self.allowed
-
-
-DEFAULT_FILTER = SemanticTypeFilter(DEFAULT_SEMANTIC_TYPES)
-
-
 class RelatednessMode(Enum):
     AGAINST_WHOLE_SUMMARY = "whole-summary"
     AGAINST_ANY_STATEMENT = "any-statement"
-
-
-@dataclass(frozen=True)
-class RelatednessConfig:
-    mode: RelatednessMode
-    min_mutual: int = 1
-
-    def __post_init__(self):
-        if self.min_mutual < 1:
-            raise ValueError(f"min_mutual must be >= 1, got {self.min_mutual}")
 
 
 # -- corpus construction ------------------------------------------------------
@@ -150,29 +124,35 @@ def load_corpus(corpus_dir, lexicon: ConceptLexicon | None = None) -> Corpus:
     return Corpus(tuple(docs))
 
 
-def _parse_concepts(raw, where: str, semfilter: SemanticTypeFilter | None):
+def _parse_concepts(raw, where: str, semantic_types: frozenset[str] | None
+                    ) -> list[str]:
+    """The CUIs of the entries whose semantic type is allowed (all of them
+    when semantic_types is None)."""
     if not isinstance(raw, list):
         raise AnnotationMismatch(f"{where}: 'concepts' must be a list, got {raw!r}")
-    tags = []
+    cuis = []
     for entry in raw:
         try:
-            tag = ConceptTag(str(entry["cui"]), str(entry.get("semtype", "")))
-        except (TypeError, KeyError, ValueError) as exc:
+            cui, semtype = str(entry["cui"]), str(entry.get("semtype", ""))
+        except (TypeError, KeyError) as exc:
             raise AnnotationMismatch(f"{where}: bad concept entry {entry!r}") from exc
-        if semfilter is None or semfilter.keep(tag):
-            tags.append(tag)
-    return tags
+        if not cui:
+            raise AnnotationMismatch(f"{where}: bad concept entry {entry!r}")
+        if semantic_types is None or semtype in semantic_types:
+            cuis.append(cui)
+    return cuis
 
 
 def load_concept_annotations(path, corpus: Corpus,
-                             semfilter: SemanticTypeFilter | None = None) -> Corpus:
-    """Attach per-sentence concepts from a JSONL file.
+                             semantic_types: frozenset[str] | None = None) -> Corpus:
+    """Attach per-sentence concept CUIs from a JSONL file.
 
     Each line is {"doc_id":…, "sent_index":…, "concepts":[{"cui":…, "semtype":…}]}.
-    Concepts failing the semantic-type filter are dropped; concepts attach
-    additively (union with anything already present).
+    Concepts whose semantic type is not in semantic_types are dropped (None
+    keeps all); concepts attach additively (union with anything already
+    present).
     """
-    extra: dict[str, dict[int, set[ConceptTag]]] = {d.id: {} for d in corpus.documents}
+    extra: dict[str, dict[int, set[str]]] = {d.id: {} for d in corpus.documents}
     sentence_counts = {d.id: len(d.sentences) for d in corpus.documents}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -195,8 +175,8 @@ def load_concept_annotations(path, corpus: Corpus,
                 raise AnnotationMismatch(
                     f"{where}: sent_index {sent_index} out of range for "
                     f"{doc_id!r} ({n_sent} sentences)")
-            tags = _parse_concepts(concepts, where, semfilter)
-            extra[doc_id].setdefault(sent_index, set()).update(tags)
+            cuis = _parse_concepts(concepts, where, semantic_types)
+            extra[doc_id].setdefault(sent_index, set()).update(cuis)
     docs = []
     for doc in corpus.documents:
         sentences = []
@@ -209,7 +189,7 @@ def load_concept_annotations(path, corpus: Corpus,
     return Corpus(tuple(docs))
 
 
-def load_summary_statements(path, semfilter: SemanticTypeFilter | None = None
+def load_summary_statements(path, semantic_types: frozenset[str] | None = None
                             ) -> list[frozenset[str]]:
     """Read summary statements (JSONL, {"concepts":[…]} per line) as CUI sets.
 
@@ -227,28 +207,29 @@ def load_summary_statements(path, semfilter: SemanticTypeFilter | None = None
                 concepts = rec["concepts"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise AnnotationMismatch(f"{where}: malformed statement line") from exc
-            tags = _parse_concepts(concepts, where, semfilter)
-            statements.append(frozenset(t.cui for t in tags))
+            cuis = _parse_concepts(concepts, where, semantic_types)
+            statements.append(frozenset(cuis))
     return statements
 
 
-def split_related(doc: Document, summary_statements, config: RelatednessConfig
+def split_related(doc: Document, summary_statements, mode: RelatednessMode,
+                  min_mutual: int = 1
                   ) -> tuple[tuple[Sentence, ...], tuple[Sentence, ...]]:
     """Partition sentences by concept overlap with summary statements.
 
     AGAINST_WHOLE_SUMMARY pools all statement concepts into one set;
     AGAINST_ANY_STATEMENT requires the overlap with a single statement.
-    Mutual concepts are counted as CUI-set intersections (duplicates once).
+    A sentence is related when at least min_mutual CUIs are shared.
     """
+    if min_mutual < 1:
+        raise ValueError(f"min_mutual must be >= 1, got {min_mutual}")
     statements = [frozenset(s) for s in summary_statements]
     union = frozenset().union(*statements) if statements else frozenset()
-    k = config.min_mutual
 
     def is_related(sent: Sentence) -> bool:
-        cuis = sent.cuis()
-        if config.mode is RelatednessMode.AGAINST_WHOLE_SUMMARY:
-            return len(cuis & union) >= k
-        return any(len(cuis & s) >= k for s in statements)
+        if mode is RelatednessMode.AGAINST_WHOLE_SUMMARY:
+            return len(sent.concepts & union) >= min_mutual
+        return any(len(sent.concepts & s) >= min_mutual for s in statements)
 
     related, unrelated = [], []
     for sent in doc.sentences:

@@ -39,19 +39,6 @@ GROUND_METRICS = ("euclidean", "cosine")
 
 
 @dataclass(frozen=True)
-class WmdConfig:
-    remove_stopwords: bool = True
-    ground_metric: str = "euclidean"  # one of GROUND_METRICS
-
-    def __post_init__(self):
-        if self.ground_metric not in GROUND_METRICS:
-            raise ValueError(f"unknown ground metric {self.ground_metric!r}")
-
-
-DEFAULT_WMD_CONFIG = WmdConfig()
-
-
-@dataclass(frozen=True)
 class NBow:
     """Normalized bag of words: unique support with probability weights."""
 
@@ -89,15 +76,14 @@ class TransportPlan:
         object.__setattr__(self, "cost", float(self.cost))
 
 
-def nbow(doc: Document, store: EmbeddingStore,
-         config: WmdConfig = DEFAULT_WMD_CONFIG) -> NBow:
+def nbow(doc: Document, store: EmbeddingStore, remove_stopwords: bool = True) -> NBow:
     """Occurrence-normalized bag of in-vocabulary words.
 
-    DEFAULT_STOPWORDS (if config.remove_stopwords) and out-of-vocabulary
-    tokens are dropped before counting; support order is first occurrence.
+    DEFAULT_STOPWORDS (if remove_stopwords) and out-of-vocabulary tokens are
+    dropped before counting; support order is first occurrence.
     """
     tokens = doc.tokens()
-    if config.remove_stopwords:
+    if remove_stopwords:
         tokens = [t for t in tokens if t not in DEFAULT_STOPWORDS]
     tokens = [t for t in tokens if t in store]
     if not tokens:
@@ -108,19 +94,15 @@ def nbow(doc: Document, store: EmbeddingStore,
     return NBow(support, weights / weights.sum())
 
 
-def ground_costs(a: NBow, b: NBow, store: EmbeddingStore,
-                 config: WmdConfig = DEFAULT_WMD_CONFIG, vectors=None) -> np.ndarray:
-    """Pairwise transport costs between the two supports.
-
-    `vectors` is the pair of support embedding blocks, in support order, for
-    a caller that already holds them; by default they are read from store.
-    """
-    if vectors is None:
-        vectors = store.rows(a.support), store.rows(b.support)
-    va, vb = vectors
-    if config.ground_metric == "euclidean":
+def ground_costs(va: np.ndarray, vb: np.ndarray, ground_metric: str = "euclidean"
+                 ) -> np.ndarray:
+    """Pairwise transport costs between two support embedding blocks, one
+    row per support word in support order, under one of GROUND_METRICS."""
+    if ground_metric == "euclidean":
         diff = va[:, None, :] - vb[None, :, :]
         return np.sqrt((diff * diff).sum(axis=2))
+    if ground_metric != "cosine":
+        raise ValueError(f"unknown ground metric {ground_metric!r}")
     norms_a = np.linalg.norm(va, axis=1)
     norms_b = np.linalg.norm(vb, axis=1)
     if (norms_a == 0).any() or (norms_b == 0).any():
@@ -280,14 +262,16 @@ def solve_ot(a: NBow, b: NBow, costs) -> TransportPlan:
 
 
 def wmd(doc_a: Document, doc_b: Document, store: EmbeddingStore,
-        config: WmdConfig = DEFAULT_WMD_CONFIG) -> float:
+        remove_stopwords: bool = True, ground_metric: str = "euclidean") -> float:
     """Exact Word Mover's Distance between two documents."""
-    na = nbow(doc_a, store, config)
-    nb = nbow(doc_b, store, config)
-    return solve_ot(na, nb, ground_costs(na, nb, store, config)).cost
+    na = nbow(doc_a, store, remove_stopwords)
+    nb = nbow(doc_b, store, remove_stopwords)
+    costs = ground_costs(store.rows(na.support), store.rows(nb.support), ground_metric)
+    return solve_ot(na, nb, costs).cost
 
 
-def wmd_model(store: EmbeddingStore, config: WmdConfig = DEFAULT_WMD_CONFIG):
+def wmd_model(store: EmbeddingStore, remove_stopwords: bool = True,
+              ground_metric: str = "euclidean"):
     """Document-distance function for pairwise_distances.
 
     Each document's nBOW and embedding block are built once, on its first
@@ -295,13 +279,13 @@ def wmd_model(store: EmbeddingStore, config: WmdConfig = DEFAULT_WMD_CONFIG):
     """
 
     def bag(doc):
-        bow = nbow(doc, store, config)
+        bow = nbow(doc, store, remove_stopwords)
         return bow, store.rows(bow.support)
 
     bags = per_document(bag)
 
     def model(a: Document, b: Document) -> float:
         (na, va), (nb, vb) = bags(a), bags(b)
-        return solve_ot(na, nb, ground_costs(na, nb, store, config, (va, vb))).cost
+        return solve_ot(na, nb, ground_costs(va, vb, ground_metric)).cost
 
     return model

@@ -10,12 +10,10 @@ import numpy as np
 import pytest
 
 from cliquedist import (
-    ConceptTag,
     Document,
     EmbeddingStore,
     NBow,
     Sentence,
-    WmdConfig,
     feature_difference_counts,
     graph_distortion,
     load_distance_matrix,
@@ -28,7 +26,7 @@ from cliquedist import (
     split_related,
     wmd,
 )
-from cliquedist.textprep import RelatednessConfig, RelatednessMode
+from cliquedist.textprep import RelatednessMode
 from conftest import Budget, make_matrix, random_symmetric
 from ot_oracle import oracle_min_cost
 
@@ -125,17 +123,20 @@ def test_criterion_6_property_suites(data_dir):
         # WMD is a metric over nBOW documents (500 random triples)
         vocab = [f"word{i}" for i in range(8)]
         store = EmbeddingStore(vocab, rng.normal(size=(len(vocab), 4)))
-        cfg = WmdConfig(remove_stopwords=False)
+
+        def dist(x, y):
+            return wmd(x, y, store, remove_stopwords=False)
+
         for t in range(500):
             d1 = _random_word_doc(rng, "a", vocab)
             d2 = _random_word_doc(rng, "b", vocab)
             d3 = _random_word_doc(rng, "c", vocab)
-            d12 = wmd(d1, d2, store, cfg)
-            d21 = wmd(d2, d1, store, cfg)
+            d12 = dist(d1, d2)
+            d21 = dist(d2, d1)
             assert abs(d12 - d21) <= 1e-9
             assert d12 >= -1e-12
-            assert d12 <= wmd(d1, d3, store, cfg) + wmd(d3, d2, store, cfg) + 1e-9
-            assert wmd(d1, d1, store, cfg) <= 1e-9
+            assert d12 <= dist(d1, d3) + dist(d3, d2) + 1e-9
+            assert dist(d1, d1) <= 1e-9
 
         # split_related partitions and is threshold-monotone (randomized)
         pool = [f"C{i}" for i in range(6)]
@@ -143,9 +144,7 @@ def test_criterion_6_property_suites(data_dir):
             n_sent = int(rng.integers(1, 6))
             sentences = tuple(
                 Sentence(f"s{i}.", (f"s{i}",), frozenset(
-                    ConceptTag(c, "dsyn")
-                    for c in rng.choice(pool, size=rng.integers(0, 5),
-                                        replace=False)))
+                    rng.choice(pool, size=rng.integers(0, 5), replace=False)))
                 for i in range(n_sent))
             doc = Document("d", sentences)
             statements = [frozenset(
@@ -155,7 +154,7 @@ def test_criterion_6_property_suites(data_dir):
                 prev_related = None
                 for k in (1, 2, 3):
                     related, unrelated = split_related(
-                        doc, statements, RelatednessConfig(mode, k))
+                        doc, statements, mode, k)
                     assert len(related) + len(unrelated) == n_sent
                     texts = [s.text for s in related] + [s.text for s in unrelated]
                     assert sorted(texts) == sorted(s.text for s in sentences)

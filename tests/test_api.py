@@ -7,19 +7,25 @@ from pathlib import Path
 import cliquedist
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-# Public names that were removed, by the module that defined them.
-REMOVED = {
-    "cliquedist.wmd": "rwmd_lower_bound",
-    "cliquedist.distortion": "permute_labels",
-    "cliquedist.errors": "InvalidPermutation",
-}
+# Public names that were removed, with the module that defined them.
+REMOVED = [
+    ("cliquedist.wmd", "rwmd_lower_bound"),
+    ("cliquedist.distortion", "permute_labels"),
+    ("cliquedist.errors", "InvalidPermutation"),
+    ("cliquedist.wmd", "WmdConfig"),
+    ("cliquedist.wmd", "DEFAULT_WMD_CONFIG"),
+    ("cliquedist.textprep", "RelatednessConfig"),
+    ("cliquedist.textprep", "SemanticTypeFilter"),
+    ("cliquedist.textprep", "DEFAULT_FILTER"),
+    ("cliquedist.core", "ConceptTag"),
+]
 
 
 def test_every_exported_name_exists_once():
     names = cliquedist.__all__
     assert len(set(names)) == len(names)
     assert [name for name in names if not hasattr(cliquedist, name)] == []
-    for module, name in REMOVED.items():
+    for module, name in REMOVED:
         assert name not in names
         assert not hasattr(cliquedist, name)
         assert not hasattr(importlib.import_module(module), name)

@@ -100,7 +100,7 @@ def test_flags_override_config_file(tmp_path):
 
 
 def test_build_config_validates_ranges(tmp_path):
-    for flags in (["--min-mutual", "0"], ["--samples", "0"]):
+    for flags in (["--min-mutual", "0"], ["--samples", "0"], ["--seed", "-1"]):
         args = make_parser().parse_args(["distances", *flags])
         with pytest.raises(ConfigError):
             build_config(args)
@@ -299,6 +299,32 @@ def test_permtest_count_too_long_for_json_is_numeric_error(tmp_path, capsys):
     assert code == 4
     assert "311!" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    # numpy's generator rejects a negative seed only once it is built, which
+    # a sampled histogram above 9 labels does after both matrices are read
+    pair = labeled_pair(tmp_path, 10, 10)
+    out, hist = tmp_path / "out", tmp_path / "hist.csv"
+    assert run(["permtest", *pair, "--seed", "-1", "--histogram", hist,
+                "--out", out]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists() and not hist.exists()
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    # spreadsheet tools that save "CSV UTF-8" start the file with a BOM
+    def with_bom(path):
+        copy = tmp_path / ("bom_" + path.name)
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return copy
+
+    expert = REPO_ROOT / "data" / "expert_distances.csv"
+    plain, bom = load_distance_matrix(expert), load_distance_matrix(with_bom(expert))
+    assert bom.labels == plain.labels
+    assert bom.values.tobytes() == plain.values.tobytes()
+    config = REPO_ROOT / "data" / "toy_config.toml"
+    assert parse_config_file(with_bom(config)) == parse_config_file(config)
 
 
 def test_max_exact_n_flag_is_gone(twelve_label_pair, tmp_path):
@@ -527,6 +553,29 @@ def test_filter_requires_mode(mini_corpus, tmp_path, capsys):
     assert "mode" in capsys.readouterr().err
 
 
+def test_filter_semantic_types_restrict_concepts(mini_corpus, tmp_path):
+    # C3 is a neop concept: without neop, B shares nothing with the summary
+    with mini_corpus.open("a") as fh:
+        fh.write("semantic_types = dsyn, fndg\n")
+    out = tmp_path / "out"
+    assert run(["filter", "--config", mini_corpus, "--mode", "any-statement",
+                "--out", out]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["documents"] == {
+        "A": {"related": 1, "unrelated": 1},
+        "B": {"related": 0, "unrelated": 1}}
+
+
+def test_filter_empty_semantic_types_is_config_error(mini_corpus, tmp_path, capsys):
+    with mini_corpus.open("a") as fh:
+        fh.write("semantic_types = ' , '\n")
+    code = run(["filter", "--config", mini_corpus, "--mode", "any-statement",
+                "--out", tmp_path / "out"])
+    assert code == 2
+    assert "'semantic_types'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_filter_deterministic(mini_corpus, tmp_path):
     payloads = []
     for name in ("o1", "o2"):
@@ -585,7 +634,7 @@ def test_pipeline_keyword_filter_keeps_annotations(tmp_path, monkeypatch):
     args = make_parser().parse_args(["pipeline", "--config", str(config)])
     (kept,) = _load_pipeline_corpus(build_config(args)).document("AAFP").sentences
     assert kept.text == "Dense tissue may call for additional imaging."
-    assert "C0205082" in kept.cuis()
+    assert "C0205082" in kept.concepts
 
 
 def test_pipeline_keyword_filter_repeated_document_is_config_error(

@@ -328,4 +328,4 @@ def test_corpus_rejects_duplicate_ids():
 def test_sentence_concept_sets_are_frozen():
     s = Sentence("x.", ("x",))
     assert s.concepts == frozenset()
-    assert s.cuis() == frozenset()
+    assert Sentence("x.", ("x",), ["C1", "C1"]).concepts == frozenset({"C1"})

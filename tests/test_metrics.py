@@ -24,7 +24,6 @@ from cliquedist import (
     sim_to_distance,
     wmd_model,
 )
-from cliquedist.wmd import WmdConfig
 from cliquedist.errors import (
     CorpusError,
     DomainError,
@@ -207,7 +206,7 @@ def test_pairwise_distances_one_word_docs_reduce_to_ground_metric():
     corpus = Corpus((_word_doc("A", "a"), _word_doc("B", "b"),
                      _word_doc("C", "c")))
     m = pairwise_distances(
-        corpus, wmd_model(STORE, WmdConfig(remove_stopwords=False)))
+        corpus, wmd_model(STORE, remove_stopwords=False))
     i = m.index
     assert m.values[i("A"), i("B")] == pytest.approx(np.sqrt(2.0), abs=1e-12)
     assert m.values[i("A"), i("C")] == pytest.approx(1.0, abs=1e-12)
@@ -260,14 +259,14 @@ def test_cosine_model_pools_each_document_once(monkeypatch, transform, unique):
 
 
 def test_wmd_model_builds_each_bag_once(monkeypatch):
-    config = WmdConfig(remove_stopwords=False)
     docs = POOLING_CORPUS.documents
     reference = np.zeros((len(docs), len(docs)))
     for i, a in enumerate(docs):
         for j, b in enumerate(docs):
             if i < j:
-                reference[i, j] = reference[j, i] = WMD_MODULE.wmd(a, b, STORE, config)
+                reference[i, j] = reference[j, i] = WMD_MODULE.wmd(
+                    a, b, STORE, remove_stopwords=False)
     seen = _counting(monkeypatch, WMD_MODULE, "nbow")
-    m = pairwise_distances(POOLING_CORPUS, wmd_model(STORE, config))
+    m = pairwise_distances(POOLING_CORPUS, wmd_model(STORE, remove_stopwords=False))
     assert sorted(seen) == list(POOLING_CORPUS.ids)
     assert m.values.tobytes() == reference.tobytes()

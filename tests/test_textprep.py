@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from cliquedist import (
     ConceptLexicon,
-    RelatednessConfig,
     RelatednessMode,
-    SemanticTypeFilter,
     load_concept_annotations,
     load_concept_lexicon,
     load_corpus,
@@ -19,10 +17,9 @@ from cliquedist import (
     split_sentences,
     tokenize,
 )
-from cliquedist.core import ConceptTag, Document, Sentence
+from cliquedist.core import Document, Sentence
 from cliquedist.errors import AnnotationMismatch, CorpusError, MalformedTable
 from cliquedist.textprep import (
-    DEFAULT_FILTER,
     DEFAULT_SEMANTIC_TYPES,
     filter_sentences_by_keyword,
 )
@@ -150,7 +147,7 @@ def _all_cuis(corpus):
     cuis = set()
     for doc in corpus.documents:
         for sent in doc.sentences:
-            cuis |= sent.cuis()
+            cuis |= sent.concepts
     return cuis
 
 
@@ -168,7 +165,7 @@ def test_load_concept_annotations_attaches(data_dir):
 def test_load_concept_annotations_semantic_filter(data_dir):
     corpus = load_corpus(data_dir / "toy_corpus")
     annotated = load_concept_annotations(
-        data_dir / "toy_annotations.jsonl", corpus, DEFAULT_FILTER)
+        data_dir / "toy_annotations.jsonl", corpus, DEFAULT_SEMANTIC_TYPES)
     cuis = _all_cuis(annotated)
     assert "C0006142" in cuis       # neop is in the default allow-list
     assert "C0282416" not in cuis   # gngm is not
@@ -215,8 +212,13 @@ _CONCEPTS = [{"cui": "C1", "semtype": "dsyn"}]
      "sent_index must be an integer"),
     ({"doc_id": "AAFP", "sent_index": "0", "concepts": _CONCEPTS},
      "sent_index must be an integer"),
+    ({"doc_id": "AAFP", "sent_index": 0, "concepts": [{"semtype": "dsyn"}]},
+     "bad concept entry"),
+    ({"doc_id": "AAFP", "sent_index": 0, "concepts": [{"cui": "", "semtype": "dsyn"}]},
+     "bad concept entry"),
+    ({"doc_id": "AAFP", "sent_index": 0, "concepts": ["C1"]}, "bad concept entry"),
 ], ids=["concepts-int", "doc-id-list", "sent-index-float", "sent-index-bool",
-        "sent-index-string"])
+        "sent-index-string", "cui-missing", "cui-empty", "entry-string"])
 def test_load_concept_annotations_rejects_wrong_types(tmp_path, data_dir,
                                                       record, message):
     corpus = load_corpus(data_dir / "toy_corpus")
@@ -226,15 +228,17 @@ def test_load_concept_annotations_rejects_wrong_types(tmp_path, data_dir,
         load_concept_annotations(p, corpus)
 
 
+def test_empty_cui_is_rejected_even_when_filtered_out(tmp_path):
+    p = tmp_path / "summary.jsonl"
+    p.write_text(json.dumps({"concepts": [{"cui": "", "semtype": "gngm"}]}) + "\n")
+    with pytest.raises(AnnotationMismatch, match=r"summary\.jsonl:1: bad concept entry"):
+        load_summary_statements(p, DEFAULT_SEMANTIC_TYPES)
+
+
 def test_default_semantic_types():
     assert {"diap", "neop", "fndg"} <= DEFAULT_SEMANTIC_TYPES
     assert "gngm" not in DEFAULT_SEMANTIC_TYPES
     assert len(DEFAULT_SEMANTIC_TYPES) == 11
-
-
-def test_semantic_type_filter_must_allow_something():
-    with pytest.raises(ValueError):
-        SemanticTypeFilter(frozenset())
 
 
 # -- relatedness split ---------------------------------------------------------
@@ -242,8 +246,7 @@ def test_semantic_type_filter_must_allow_something():
 def _doc(sent_cuis):
     """Synthetic document whose i-th sentence carries the given CUIs."""
     sentences = tuple(
-        Sentence(f"s{i}.", (f"s{i}",),
-                 frozenset(ConceptTag(c, "dsyn") for c in cuis))
+        Sentence(f"s{i}.", (f"s{i}",), frozenset(cuis))
         for i, cuis in enumerate(sent_cuis))
     return Document("doc", sentences)
 
@@ -257,20 +260,17 @@ def test_split_related_whole_summary_pools_statements():
     # overlap reaches 2, per-statement overlap never does.
     doc = _doc([{"C1", "C2"}, {"C9"}])
     statements = [{"C1"}, {"C2"}]
-    related, unrelated = split_related(
-        doc, statements, RelatednessConfig(WHOLE, min_mutual=2))
+    related, unrelated = split_related(doc, statements, WHOLE, min_mutual=2)
     assert _texts(related) == ["s0."]
     assert _texts(unrelated) == ["s1."]
-    related, unrelated = split_related(
-        doc, statements, RelatednessConfig(ANY, min_mutual=2))
+    related, unrelated = split_related(doc, statements, ANY, min_mutual=2)
     assert _texts(related) == []
     assert _texts(unrelated) == ["s0.", "s1."]
 
 
 def test_split_related_any_statement_single_overlap():
     doc = _doc([{"C1", "C3"}, {"C4"}])
-    related, unrelated = split_related(
-        doc, [{"C1"}, {"C2"}], RelatednessConfig(ANY, min_mutual=1))
+    related, unrelated = split_related(doc, [{"C1"}, {"C2"}], ANY, min_mutual=1)
     assert _texts(related) == ["s0."]
     assert _texts(unrelated) == ["s1."]
 
@@ -278,18 +278,21 @@ def test_split_related_any_statement_single_overlap():
 def test_split_related_threshold():
     doc = _doc([{"C1", "C2"}, {"C1"}])
     statements = [{"C1", "C2", "C3"}]
-    related, unrelated = split_related(
-        doc, statements, RelatednessConfig(ANY, min_mutual=2))
+    related, unrelated = split_related(doc, statements, ANY, min_mutual=2)
     assert _texts(related) == ["s0."]
     assert _texts(unrelated) == ["s1."]
 
 
 def test_split_related_no_statements():
     doc = _doc([{"C1"}])
-    related, unrelated = split_related(
-        doc, [], RelatednessConfig(WHOLE, min_mutual=1))
+    related, unrelated = split_related(doc, [], WHOLE, min_mutual=1)
     assert related == ()
     assert _texts(unrelated) == ["s0."]
+
+
+def test_split_related_rejects_threshold_below_one():
+    with pytest.raises(ValueError, match="min_mutual must be >= 1, got 0"):
+        split_related(_doc([{"C1"}]), [{"C1"}], ANY, min_mutual=0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -305,14 +308,14 @@ def test_split_related_partition_and_monotonicity(data):
     results = {}
     for mode in RelatednessMode:
         related, unrelated = split_related(
-            doc, statements, RelatednessConfig(mode, min_mutual=k))
+            doc, statements, mode, min_mutual=k)
         # exact order-preserving partition
         assert sorted(_texts(related) + _texts(unrelated)) == sorted(
             _texts(doc.sentences))
         assert _texts(related) + _texts(unrelated) != []  # doc is nonempty
         # raising the threshold never adds related sentences
         looser, _ = split_related(
-            doc, statements, RelatednessConfig(mode, min_mutual=max(1, k - 1)))
+            doc, statements, mode, min_mutual=max(1, k - 1))
         assert set(_texts(related)) <= set(_texts(looser))
         results[mode] = set(_texts(related))
     # per-statement overlap implies pooled overlap
@@ -325,7 +328,7 @@ def test_load_summary_statements(data_dir):
     assert frozenset({"C0024671", "C0036525", "C0034394"}) in stmts
     assert frozenset({"C0205082", "C0041618", "C0282416"}) in stmts
     filtered = load_summary_statements(
-        data_dir / "toy_summary.jsonl", DEFAULT_FILTER)
+        data_dir / "toy_summary.jsonl", DEFAULT_SEMANTIC_TYPES)
     assert frozenset({"C0205082", "C0041618"}) in filtered  # gngm dropped
 
 

@@ -14,7 +14,6 @@ from cliquedist import (
     EmbeddingStore,
     NBow,
     Sentence,
-    WmdConfig,
     ground_costs,
     nbow,
     solve_ot,
@@ -26,8 +25,6 @@ from ot_oracle import oracle_min_cost
 # By import path: the package attribute `cliquedist.wmd` is the function.
 WMD_MODULE = importlib.import_module("cliquedist.wmd")
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-NO_STOP = WmdConfig(remove_stopwords=False)
 
 VECTORS = {
     "alpha": np.array([1.0, 0.0, 0.0]),
@@ -50,35 +47,35 @@ def _nbow_from(weights, words=None):
 # -- nbow ------------------------------------------------------------------------
 
 def test_nbow_counts_and_order():
-    bag = nbow(_doc("d", "beta", "alpha", "beta"), STORE, NO_STOP)
+    bag = nbow(_doc("d", "beta", "alpha", "beta"), STORE, remove_stopwords=False)
     assert bag.support == ("beta", "alpha")  # first occurrence order
     assert np.allclose(bag.weights, [2 / 3, 1 / 3])
     assert bag.weights.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_nbow_drops_oov():
-    bag = nbow(_doc("d", "alpha", "unknown"), STORE, NO_STOP)
+    bag = nbow(_doc("d", "alpha", "unknown"), STORE, remove_stopwords=False)
     assert bag.support == ("alpha",)
     assert bag.weights[0] == 1.0
 
 
 def test_nbow_stopword_removal():
     doc = _doc("d", "the", "alpha")
-    with_stop = nbow(doc, STORE, NO_STOP)
-    without = nbow(doc, STORE, WmdConfig(remove_stopwords=True))
+    with_stop = nbow(doc, STORE, remove_stopwords=False)
+    without = nbow(doc, STORE, remove_stopwords=True)
     assert with_stop.support == without.support == ("alpha",)  # "the" is OOV anyway
     custom = EmbeddingStore(["the", "alpha"], [np.zeros(3), np.ones(3)])
-    assert nbow(doc, custom, NO_STOP).support == ("the", "alpha")
-    assert nbow(doc, custom, WmdConfig()).support == ("alpha",)
+    assert nbow(doc, custom, remove_stopwords=False).support == ("the", "alpha")
+    assert nbow(doc, custom).support == ("alpha",)
 
 
 def test_nbow_empty_raises():
     with pytest.raises(EmptyVectorError):
-        nbow(_doc("d", "unknown"), STORE, NO_STOP)
+        nbow(_doc("d", "unknown"), STORE, remove_stopwords=False)
     with pytest.raises(EmptyVectorError):
         nbow(_doc("d", "the", "of"),
              EmbeddingStore(["the", "of"], [np.zeros(3), np.ones(3)]),
-             WmdConfig(remove_stopwords=True))
+             remove_stopwords=True)
 
 
 def test_nbow_validation():
@@ -95,9 +92,9 @@ def test_nbow_validation():
 # -- ground costs ------------------------------------------------------------------
 
 def test_ground_costs_euclidean():
-    a = nbow(_doc("a", "alpha", "beta"), STORE, NO_STOP)
-    b = nbow(_doc("b", "alpha", "gamma"), STORE, NO_STOP)
-    C = ground_costs(a, b, STORE, NO_STOP)
+    a = nbow(_doc("a", "alpha", "beta"), STORE, remove_stopwords=False)
+    b = nbow(_doc("b", "alpha", "gamma"), STORE, remove_stopwords=False)
+    C = ground_costs(STORE.rows(a.support), STORE.rows(b.support))
     assert C.shape == (2, 2)
     assert C[0, 0] == 0.0                                  # shared word
     assert C[0, 1] == pytest.approx(np.sqrt(2), abs=1e-15)  # orthonormal pair
@@ -105,18 +102,20 @@ def test_ground_costs_euclidean():
 
 
 def test_ground_costs_cosine():
-    cfg = WmdConfig(remove_stopwords=False, ground_metric="cosine")
-    a = nbow(_doc("a", "alpha"), STORE, cfg)
-    b = nbow(_doc("b", "alpha", "beta", "delta"), STORE, cfg)
-    C = ground_costs(a, b, STORE, cfg)
+    a = nbow(_doc("a", "alpha"), STORE, remove_stopwords=False)
+    b = nbow(_doc("b", "alpha", "beta", "delta"), STORE, remove_stopwords=False)
+    C = ground_costs(STORE.rows(a.support), STORE.rows(b.support), "cosine")
     assert C[0, 0] == 0.0
     assert C[0, 1] == pytest.approx(1.0, abs=1e-15)
     assert C[0, 2] == pytest.approx(1 - 1 / np.sqrt(2), abs=1e-15)
 
 
-def test_wmd_config_rejects_unknown_metric():
-    with pytest.raises(ValueError):
-        WmdConfig(ground_metric="manhattan")
+def test_ground_costs_rejects_unknown_metric():
+    block = STORE.rows(["alpha"])
+    with pytest.raises(ValueError, match="unknown ground metric 'manhattan'"):
+        ground_costs(block, block, "manhattan")
+    with pytest.raises(ValueError, match="unknown ground metric"):
+        wmd(_doc("a", "alpha"), _doc("b", "beta"), STORE, ground_metric="manhattan")
 
 
 # -- the OT solver -------------------------------------------------------------------
@@ -286,13 +285,13 @@ def test_solving_wmd_imports_no_scipy():
 def test_wmd_identical_documents_zero():
     d1 = _doc("a", "alpha", "beta")
     d2 = _doc("b", "alpha", "beta")
-    assert wmd(d1, d2, STORE, NO_STOP) == pytest.approx(0.0, abs=1e-12)
+    assert wmd(d1, d2, STORE, remove_stopwords=False) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_wmd_symmetry_and_triangle():
     docs = [_doc("a", "alpha", "beta"), _doc("b", "beta", "gamma"),
             _doc("c", "alpha", "delta", "gamma")]
-    d = {(i, j): wmd(docs[i], docs[j], STORE, NO_STOP)
+    d = {(i, j): wmd(docs[i], docs[j], STORE, remove_stopwords=False)
          for i in range(3) for j in range(3) if i != j}
     assert d[0, 1] == pytest.approx(d[1, 0], abs=1e-12)
     for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
@@ -300,7 +299,7 @@ def test_wmd_symmetry_and_triangle():
 
 
 def test_wmd_single_word_reduces_to_ground_distance():
-    assert wmd(_doc("a", "alpha"), _doc("b", "beta"), STORE, NO_STOP) == \
+    assert wmd(_doc("a", "alpha"), _doc("b", "beta"), STORE, remove_stopwords=False) == \
         pytest.approx(np.sqrt(2), abs=1e-12)
 
 
@@ -312,10 +311,10 @@ def test_rwmd_lower_bound_never_exceeds_wmd():
         w2 = [words[k] for k in rng.integers(0, len(words), size=rng.integers(1, 5))]
         d1, d2 = _doc("a", *w1), _doc("b", *w2)
         # Relaxed WMD: each side moves all its mass to its nearest counterpart.
-        a, b = nbow(d1, STORE, NO_STOP), nbow(d2, STORE, NO_STOP)
-        costs = ground_costs(a, b, STORE, NO_STOP)
+        a, b = nbow(d1, STORE, remove_stopwords=False), nbow(d2, STORE, remove_stopwords=False)
+        costs = ground_costs(STORE.rows(a.support), STORE.rows(b.support))
         lower = max(a.weights @ costs.min(axis=1), b.weights @ costs.min(axis=0))
-        full = wmd(d1, d2, STORE, NO_STOP)
+        full = wmd(d1, d2, STORE, remove_stopwords=False)
         assert lower <= full + 1e-9
 
 
